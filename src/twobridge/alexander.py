@@ -6,6 +6,11 @@ twisted bands; its Seifert matrix has diagonal (-1)^(i+1) * e_i / 2 with
 unit entries on the even rows, and the Alexander polynomial is
 det(M - t M^T) normalized by a unit times t^(-g) to be symmetric with
 value 1 at t = 1.
+
+That matrix is tridiagonal, so no matrix is eliminated: the Alexander
+polynomial, the signature and the knot determinant all come from
+three-term recurrences for the leading minors of M - t M^T and M + M^T,
+read off the entries on and next to the diagonal.
 """
 
 from __future__ import annotations
@@ -137,21 +142,35 @@ class LaurentPolynomial:
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """Integer Seifert matrix of even size 2g with det(M - M^T) = 1."""
+    """Seifert matrix of the chain of twisted bands of an even Conway form.
+
+    An integer matrix of even size 2g with a nonzero diagonal, whose
+    0-based odd rows r carry unit entries in columns r - 1 and r + 1;
+    every other entry vanishes.  M - M^T is then tridiagonal with zero
+    diagonal and off-diagonal entries of absolute value 1, so
+    det(M - M^T) = 1 holds by construction.  Only this shape is
+    accepted; the entries on and beside the diagonal must be integers, the
+    others must equal 0.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(_as_int(x, "Seifert matrix entry") for x in row) for row in self.entries
-        )
-        object.__setattr__(self, "entries", rows)
+        rows = tuple(map(tuple, self.entries))
         n = len(rows)
         if n == 0 or n % 2 != 0 or any(len(r) != n for r in rows):
             raise DomainError("Seifert matrix must be square of even size >= 2")
-        skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
-        if _int_det(skew) != 1:
-            raise DomainError("det(M - M^T) must be 1 for a Seifert matrix")
+        for r, row in enumerate(rows):
+            units = [j for j in (r - 1, r + 1) if r % 2 and j < n]
+            if (
+                _as_int(row[r], "Seifert matrix entry") == 0
+                or any(_as_int(row[j], "Seifert matrix entry") != 1 for j in units)
+                or row.count(0) != n - 1 - len(units)
+            ):
+                raise DomainError(
+                    "Seifert matrix must have the chain shape built from an even Conway form"
+                )
+        object.__setattr__(self, "entries", rows)
 
     @property
     def size(self) -> int:
@@ -162,101 +181,15 @@ class SeifertMatrix:
         return self.size // 2
 
 
-# -- dense integer-polynomial helpers (little-endian coefficient lists) --
-
-
-def _ptrim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _pdiv_exact(a, b):
-    """Divide polynomial a by b, asserting the remainder is zero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    out = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        q, r = divmod(rem[-1], b[-1])
-        if r != 0:
-            raise InternalError("inexact polynomial division in determinant")
-        shift = len(rem) - len(b)
-        out[shift] = q
-        for i, bi in enumerate(b):
-            rem[shift + i] -= q * bi
-        _ptrim(rem)
-        if not rem:
-            break
-    if rem:
-        raise InternalError("inexact polynomial division in determinant")
-    return _ptrim(out)
-
-
-def _is_tridiagonal(m) -> bool:
-    n = len(m)
-    return all(not m[i][j] for i in range(n) for j in range(n) if abs(i - j) > 1)
-
-
-def _poly_det(m):
-    """Exact determinant of a matrix of integer polynomials.
-
-    Uses the three-term recurrence when the matrix is tridiagonal (always
-    the case for matrices built from Conway forms, and linear in the
-    size); otherwise falls back to fraction-free Bareiss elimination.
-    """
-    n = len(m)
-    if _is_tridiagonal(m):
-        prev, cur = [1], m[0][0]
-        for k in range(1, n):
-            nxt = _psub(_pmul(m[k][k], cur), _pmul(_pmul(m[k][k - 1], m[k - 1][k]), prev))
-            prev, cur = cur, nxt
-        return cur
-    a = [[list(x) for x in row] for row in m]
-    sign = 1
-    prev_pivot = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return []
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _psub(_pmul(a[i][j], a[k][k]), _pmul(a[i][k], a[k][j]))
-                a[i][j] = _pdiv_exact(num, prev_pivot)
-            a[i][k] = []
-        prev_pivot = a[k][k]
-    det = a[n - 1][n - 1]
-    return [sign * c for c in det]
-
-
-def _int_det(m) -> int:
-    """Exact determinant of an integer matrix via the polynomial helpers."""
-    poly = _poly_det([[[x] if x else [] for x in row] for row in m])
-    return poly[0] if poly else 0
+def _leading_minors(diagonal, off_diagonal):
+    """Leading principal minors D_1, ..., D_n of the symmetric tridiagonal
+    matrix with this diagonal and off-diagonal, by the three-term
+    recurrence D_k = a_k D_(k-1) - b_(k-1)^2 D_(k-2)."""
+    prev, cur = 0, 1
+    for k, a in enumerate(diagonal):
+        b = off_diagonal[k - 1] if k else 0
+        prev, cur = cur, a * cur - b * b * prev
+        yield cur
 
 
 def seifert_from_conway(c: ConwayForm) -> SeifertMatrix:
@@ -267,37 +200,48 @@ def seifert_from_conway(c: ConwayForm) -> SeifertMatrix:
     vanish.
     """
     n = len(c.entries)
-    rows = [[0] * n for _ in range(n)]
-    for i, e in enumerate(c.entries, start=1):
-        rows[i - 1][i - 1] = (e // 2) if i % 2 == 1 else -(e // 2)
-    for r in range(1, n, 2):  # 0-based even rows 2k
-        rows[r][r - 1] = 1
-        if r + 1 < n:
-            rows[r][r + 1] = 1
-    return SeifertMatrix(tuple(tuple(r) for r in rows))
+    rows = []
+    for r, e in enumerate(c.entries):  # 0-based row r
+        row = [0] * n
+        row[r] = e // 2 if r % 2 == 0 else -(e // 2)
+        if r % 2:
+            row[r - 1] = 1
+            if r + 1 < n:
+                row[r + 1] = 1
+        rows.append(tuple(row))
+    return SeifertMatrix(tuple(rows))
 
 
 def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     """Normalized Alexander polynomial det(M - t M^T) * (unit * t^-g).
 
-    The unit sign is fixed by requiring value 1 at t = 1, and the result
-    must come out symmetric; anything else signals an invalid Seifert
-    matrix and raises NormalizationError.
+    M - t M^T is tridiagonal, so its leading minors follow the
+    three-term recurrence
+        D_k = a_k (1 - t) D_(k-1) - (u - t l)(l - t u) D_(k-2)
+    with a_k the k-th diagonal entry of M and u, l the entries of M just
+    above and below the diagonal between rows k-1 and k; that is O(g^2)
+    coefficient operations.  The unit sign is fixed by requiring value 1
+    at t = 1, and the result must come out symmetric; anything else
+    signals an invalid Seifert matrix and raises NormalizationError.
     """
-    n = M.size
-    g = M.genus
-    entries = M.entries
-    P = [
-        [_ptrim([entries[i][j], -entries[j][i]]) for j in range(n)]
-        for i in range(n)
-    ]
-    det = _poly_det(P)
-    if not det:
+    rows = M.entries
+    prev, cur = [], [1]  # D_(-1) = 0 and D_0 = 1, constant coefficient first
+    for k in range(M.size):
+        a = rows[k][k]
+        u, l = (rows[k - 1][k], rows[k][k - 1]) if k else (0, 0)
+        # (u - t l)(l - t u) = p - s t + p t^2, where p = 0 on the chain shape
+        s, p = u * u + l * l, u * l
+        nxt = [a * (x - y) + s * z for x, y, z in zip(cur + [0], [0] + cur, [0] + prev + [0])]
+        if p:
+            nxt = [w - p * (z0 + z2) for w, z0, z2 in zip(nxt, prev + [0, 0], [0, 0] + prev)]
+        prev, cur = cur, nxt
+    if not any(cur):
         raise NormalizationError("det(M - t M^T) vanishes identically")
-    at_one = sum(det)
+    at_one = sum(cur)
     if abs(at_one) != 1:
         raise NormalizationError(f"determinant evaluates to {at_one} at t=1, not a unit")
-    poly = LaurentPolynomial({k - g: at_one * c for k, c in enumerate(det)})
+    g = M.genus
+    poly = LaurentPolynomial({k - g: at_one * c for k, c in enumerate(cur)})
     if not poly.is_symmetric():
         raise NormalizationError("no unit multiple of t^-g makes the determinant symmetric")
     return poly
@@ -361,8 +305,9 @@ def genus3_closed_form(A: int, B: int, C: int, D: int, E: int, F: int) -> Lauren
 
     Reproduced verbatim for cross-checking.  It agrees with the
     determinant whenever A+C = D+F = 0 (which covers the slice family)
-    but not in general; the determinant is the authority, and the tests
-    pin the mismatch rather than patching the formula.
+    but not in general; the determinant, as the recurrence in
+    `alexander_poly` computes it, is the authority, and the tests pin the
+    mismatch rather than patching the formula.
     """
     one_minus_t = LaurentPolynomial({0: 1, 1: -1})
     t = LaurentPolynomial.monomial(1, 1)
@@ -375,75 +320,33 @@ def genus3_closed_form(A: int, B: int, C: int, D: int, E: int, F: int) -> Lauren
     )
 
 
-def _symmetric_signature(rows: list[list[Fraction]]) -> int:
-    """Signature of a symmetric rational matrix by congruence diagonalization."""
-    s = [row[:] for row in rows]
-    n = len(s)
-    signature_value = 0
-    for k in range(n):
-        if s[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if s[i][i] != 0), None)
-            if swap is not None:
-                for row in s:
-                    row[k], row[swap] = row[swap], row[k]
-                s[k], s[swap] = s[swap], s[k]
-            else:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if s[i][j] != 0),
-                    None,
-                )
-                if pair is None:
-                    raise SingularError("symmetrized matrix is singular")
-                i, j = pair
-                for row in s:
-                    row[i] += row[j]
-                for col in range(n):
-                    s[i][col] += s[j][col]
-                if i != k:
-                    for row in s:
-                        row[k], row[i] = row[i], row[k]
-                    s[k], s[i] = s[i], s[k]
-        pivot = s[k][k]
-        signature_value += 1 if pivot > 0 else -1
-        # Schur complement update of the trailing block; row and column k
-        # are consumed and never read again, so they can stay stale.
-        for i in range(k + 1, n):
-            if s[i][k] != 0:
-                factor = s[i][k] / pivot
-                for j in range(k + 1, n):
-                    s[i][j] -= factor * s[k][j]
-    return signature_value
-
-
 def signature(M: SeifertMatrix) -> int:
-    """Knot signature: the signature of M + M^T, computed exactly.
+    """Knot signature: the signature of M + M^T, by Jacobi's rule.
 
-    M + M^T is nonsingular for Seifert matrices of knots (its determinant
-    is the knot determinant, an odd integer), so the result is always an
-    even integer.
+    M + M^T is tridiagonal, so its leading minors D_k come from the
+    recurrence that `knot_determinant` runs, and the signature is the
+    sum of sign(D_(k-1) * D_k).  For the chain shape the diagonal of
+    M + M^T is at least 2 in absolute value and the off-diagonal is 1,
+    so |D_k| grows strictly, no minor vanishes, and the result is an even
+    integer.  A vanishing minor means an invalid matrix: SingularError.
     """
+    rows = M.entries
     n = M.size
-    sym = [
-        [Fraction(M.entries[i][j] + M.entries[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    return _symmetric_signature(sym)
+    diagonal = [2 * rows[k][k] for k in range(n)]
+    off_diagonal = [rows[k][k + 1] + rows[k + 1][k] for k in range(n - 1)]
+    sigma, prev = 0, 1
+    for k, minor in enumerate(_leading_minors(diagonal, off_diagonal), start=1):
+        if minor == 0:
+            raise SingularError(f"leading minor {k} of M + M^T vanishes")
+        sigma += 1 if (minor > 0) == (prev > 0) else -1
+        prev = minor
+    return sigma
 
 
 def knot_determinant(c: ConwayForm) -> int:
-    """|det(M + M^T)| for the Conway form's Seifert matrix, via the
-    tridiagonal three-term recurrence (no matrix is built)."""
-    prev, cur = 0, 1
-    for i, e in enumerate(c.entries, start=1):
-        d = (e // 2) if i % 2 == 1 else -(e // 2)
-        prev, cur = cur, 2 * d * cur - prev
-    return abs(cur)
-
-
-def is_tau_zero(sigma: int) -> bool:
-    """Vanishing test for the concordance invariant of an alternating knot.
-
-    For alternating knots that invariant is a fixed multiple of the
-    signature, so only sigma == 0 is ever consumed downstream.
-    """
-    return sigma == 0
+    """|det(M + M^T)| for the Conway form's Seifert matrix: the last
+    leading minor of M + M^T, whose diagonal is (-1)^(i+1) * e_i and whose
+    off-diagonal is 1 (no matrix is built)."""
+    diagonal = [e if i % 2 == 0 else -e for i, e in enumerate(c.entries)]
+    *_, det = _leading_minors(diagonal, [1] * (len(diagonal) - 1))
+    return abs(det)

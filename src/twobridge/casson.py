@@ -16,6 +16,11 @@ polynomial,
 The difference lambda(K(1/q)) - lambda(K(-1/q)) collapses to the
 q-independent quantity (sum_{N<0} W - sum_{N>0} W) / 2, which is the
 obstruction driving the homology-sphere cosmetic surgery verdicts.
+
+The root-of-unity condition is decided by exact division of the
+Alexander polynomial by the few cyclotomic polynomials Phi_d with d | p'
+and phi(d) at most its degree, so its cost depends on the degree and
+not on p.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from fractions import Fraction
 
 from .alexander import (
     LaurentPolynomial,
-    _int_det,
     alexander_poly,
     conway_even_form,
     seifert_from_conway,
@@ -58,11 +62,12 @@ class SurgerySlope:
 
     @classmethod
     def parse(cls, text: str) -> "SurgerySlope":
-        text = text.strip()
-        if "/" in text:
-            p_str, q_str = text.split("/", 1)
-            return cls(int(p_str), int(q_str))
-        return cls(int(text), 1)
+        p_str, slash, q_str = text.strip().partition("/")
+        try:
+            p, q = int(p_str), int(q_str) if slash else 1
+        except ValueError:
+            raise DomainError(f"cannot parse surgery slope {text!r} (want p/q or p)") from None
+        return cls(p, q)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -99,41 +104,83 @@ def total_seminorm(sys: SlopeSystem, r: SurgerySlope) -> Fraction:
 def root_of_unity_check(delta: LaurentPolynomial, p_prime: int) -> bool:
     """True iff no p'-th root of unity is a root of the Alexander polynomial.
 
-    Decided exactly: the resultant of the integer polynomial t^g * delta
-    and t^p' - 1 is computed by fraction-free elimination on the
-    Sylvester matrix, and the check passes iff it is nonzero.
+    A p'-th root of unity of order d is a root exactly when the
+    cyclotomic polynomial Phi_d divides the integer polynomial
+    f = t^g * delta, which needs phi(d) <= deg f.  Since
+    phi(d) >= sqrt(d / 2), only divisors d <= 2 * (deg f)^2 of p' can
+    qualify, so the work is bounded by the degree of f and does not grow
+    with p'.  Each candidate is decided by exact division by the monic
+    Phi_d over the integers.
     """
     if p_prime < 1:
         raise DomainError(f"p' must be >= 1, got {p_prime}")
     if delta.is_zero():
         return False
     exps = delta.exponents()
-    shift = -exps[0]
-    f = [delta.coefficient(k - shift) for k in range(exps[0] + shift, exps[-1] + shift + 1)]
-    g = [-1] + [0] * (p_prime - 1) + [1]  # t^p' - 1
-    return _resultant(f, g) != 0
+    f = [delta.coefficient(k) for k in range(exps[0], exps[-1] + 1)]
+    degree = len(f) - 1
+    for d in range(1, min(p_prime, 2 * degree * degree) + 1):
+        if p_prime % d:
+            continue
+        primes = _prime_factors(d)
+        totient = d
+        for p in primes:
+            totient = totient // p * (p - 1)
+        if totient <= degree and _divides(_cyclotomic(d, primes), f):
+            return False
+    return True
 
 
-def _resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of two integer polynomials via the Sylvester determinant."""
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):  # n rows of f's coefficients
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):  # m rows of g's coefficients
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return _int_det(rows)
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _cyclotomic(d: int, primes: list[int]) -> list[int]:
+    """Coefficients (constant first) of the d-th cyclotomic polynomial.
+
+    Phi_d(t) = prod over sets S of the primes of d of
+    (t^(d / prod S) - 1)^((-1)^|S|): the Moebius product over the
+    squarefree divisors.  Multiplying by the numerator binomials first
+    keeps every division by a denominator binomial exact.
+    """
+    numerators, denominators = [], []
+    for mask in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        (denominators if len(chosen) % 2 else numerators).append(d // math.prod(chosen))
+    poly = [1]
+    for e in numerators:  # times t^e - 1
+        poly = [(poly[i - e] if i >= e else 0) - (poly[i] if i < len(poly) else 0)
+                for i in range(len(poly) + e)]
+    for e in denominators:  # exactly divided by t^e - 1
+        quotient = []
+        for i in range(len(poly) - e):
+            quotient.append((quotient[i - e] if i >= e else 0) - poly[i])
+        poly = quotient
+    return poly
+
+
+def _divides(g: list[int], f: list[int]) -> bool:
+    """Whether the monic integer polynomial g divides f exactly."""
+    rem = list(f)
+    m = len(g) - 1
+    for shift in range(len(f) - 1 - m, -1, -1):
+        c = rem[shift + m]
+        if c:
+            for i, gc in enumerate(g):
+                if gc:
+                    rem[shift + i] -= c * gc
+    return not any(rem[:m])
 
 
 def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:

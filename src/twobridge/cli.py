@@ -5,7 +5,8 @@ Knots are given as a Schubert form ``S(a,b)``, an even Conway form
 slice family.  Every numeric JSON field is an exact integer or a string
 "p/q"; output is byte-deterministic.
 
-Exit codes: 0 success, 2 bad input, 3 internal invariant violation.
+Exit codes: 0 success, 2 bad input, 3 internal error (a violated invariant,
+or a ValueError raised while computing: both mean a bug in this package).
 """
 
 from __future__ import annotations
@@ -45,15 +46,22 @@ _CONWAY_RE = re.compile(r"^C\[(-?\d+(?:,-?\d+)*)\]$")
 _NAME_RE = re.compile(r"^\d+_\d+$")
 
 
+def _spec_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise DomainError(f"number in knot spec too long ({len(digits)} digits)") from None
+
+
 def parse_knot_spec(text: str) -> SchubertForm:
     """Parse S(a,b), C[...], or a knot-table name into a Schubert form."""
     compact = "".join(text.split())
     m = _SCHUBERT_RE.match(compact)
     if m:
-        return SchubertForm(int(m.group(1)), int(m.group(2)))
+        return SchubertForm(_spec_int(m.group(1)), _spec_int(m.group(2)))
     m = _CONWAY_RE.match(compact)
     if m:
-        entries = tuple(int(e) for e in m.group(1).split(","))
+        entries = tuple(_spec_int(e) for e in m.group(1).split(","))
         ConwayForm(entries)  # validates evenness and parity of the length
         value = cf_eval(ContinuedFraction((0,) + entries))
         alpha = value.denominator
@@ -256,7 +264,7 @@ def _matches_filters(payload: dict, filters: list[str]) -> bool:
 
 def _cmd_obstruct(args) -> int:
     if args.census is not None:
-        reports = census(args.census, threads=args.threads)
+        reports = census(args.census)
         payloads = [_report_payload(r) for r in reports]
         payloads = [p for p in payloads if _matches_filters(p, args.filter)]
         if args.jsonl:
@@ -331,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("--filter", action="append", default=[], metavar="FIELD=VALUE",
                        help="keep census reports with FIELD equal to VALUE (repeatable)")
     p_obs.add_argument("--jsonl", action="store_true", help="one JSON document per line (census)")
-    p_obs.add_argument("--threads", type=int, default=None, help="census worker threads")
     p_obs.set_defaults(func=_cmd_obstruct)
 
     return parser
@@ -342,10 +349,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (DomainError, MeridianError, ValueError) as exc:
+    except (DomainError, MeridianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except (InternalError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except TwoBridgeError as exc:

@@ -30,4 +30,5 @@ class NormalizationError(TwoBridgeError):
 
 
 class SingularError(TwoBridgeError):
-    """The symmetrized Seifert matrix is singular (cannot happen for knots)."""
+    """A leading minor of the symmetrized Seifert matrix vanishes, so its
+    signature cannot be read off the minors (cannot happen for knots)."""

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,7 +175,7 @@ def _fibonacci(n: int) -> int:
     return a
 
 
-def census(max_crossings: int, threads: int | None = None) -> list[ObstructionReport]:
+def census(max_crossings: int) -> list[ObstructionReport]:
     """One report per equivalence class of two-bridge knots (mirrors merged)
     with at most max_crossings crossings, sorted by (alpha, canonical beta).
 
@@ -195,8 +193,6 @@ def census(max_crossings: int, threads: int | None = None) -> list[ObstructionRe
             form = SchubertForm(alpha, beta)
             if crossing_number(form) <= max_crossings:
                 representatives.append(form)
-    workers = threads or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(obstruct, representatives))
+    reports = [obstruct(form) for form in representatives]
     reports.sort(key=lambda r: (r.knot.alpha, r.knot.beta))
     return reports

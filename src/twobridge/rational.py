@@ -18,9 +18,6 @@ from fractions import Fraction
 
 from .errors import DomainError, EvaluationError
 
-Rational = Fraction
-
-
 def _as_int(value, what: str) -> int:
     """Exact integer coercion; floats and other inexact types are refused."""
     try:

@@ -1,0 +1,176 @@
+"""Dense reference routes for the Alexander layer and the root-of-unity check.
+
+The package computes the Alexander polynomial, the signature and the
+root-of-unity condition by recurrences over the even Conway entries.
+These are the general-purpose routes they replaced, kept here only so
+the tests can compare the two: fraction-free (Bareiss) elimination over
+integer polynomials, symmetric congruence diagonalization over the
+rationals, and the Sylvester resultant.  They work on any square matrix,
+with no use of the tridiagonal shape.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from twobridge import InternalError, LaurentPolynomial, SingularError
+
+# -- dense integer-polynomial helpers (little-endian coefficient lists) --
+
+
+def _ptrim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    return _ptrim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _ptrim(out)
+
+
+def _pdiv_exact(a, b):
+    """Divide polynomial a by b, asserting the remainder is zero."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    out = [0] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        q, r = divmod(rem[-1], b[-1])
+        if r != 0:
+            raise InternalError("inexact polynomial division in determinant")
+        shift = len(rem) - len(b)
+        out[shift] = q
+        for i, bi in enumerate(b):
+            rem[shift + i] -= q * bi
+        _ptrim(rem)
+        if not rem:
+            break
+    if rem:
+        raise InternalError("inexact polynomial division in determinant")
+    return _ptrim(out)
+
+
+def poly_det(m):
+    """Exact determinant of a square matrix of integer polynomials, by
+    fraction-free Bareiss elimination with row swaps on zero pivots."""
+    n = len(m)
+    a = [[list(x) for x in row] for row in m]
+    sign = 1
+    prev_pivot = [1]
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return []
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _psub(_pmul(a[i][j], a[k][k]), _pmul(a[i][k], a[k][j]))
+                a[i][j] = _pdiv_exact(num, prev_pivot)
+            a[i][k] = []
+        prev_pivot = a[k][k]
+    det = a[n - 1][n - 1]
+    return [sign * c for c in det]
+
+
+def int_det(m) -> int:
+    """Exact determinant of an integer matrix via the polynomial helpers."""
+    poly = poly_det([[[x] if x else [] for x in row] for row in m])
+    return poly[0] if poly else 0
+
+
+def symmetric_signature(rows: list[list[Fraction]]) -> int:
+    """Signature of a nonsingular symmetric rational matrix by congruence
+    diagonalization."""
+    s = [row[:] for row in rows]
+    n = len(s)
+    signature_value = 0
+    for k in range(n):
+        if s[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if s[i][i] != 0), None)
+            if swap is not None:
+                for row in s:
+                    row[k], row[swap] = row[swap], row[k]
+                s[k], s[swap] = s[swap], s[k]
+            else:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if s[i][j] != 0),
+                    None,
+                )
+                if pair is None:
+                    raise SingularError("symmetric matrix is singular")
+                i, j = pair
+                for row in s:
+                    row[i] += row[j]
+                for col in range(n):
+                    s[i][col] += s[j][col]
+                if i != k:
+                    for row in s:
+                        row[k], row[i] = row[i], row[k]
+                    s[k], s[i] = s[i], s[k]
+        pivot = s[k][k]
+        signature_value += 1 if pivot > 0 else -1
+        # Schur complement update of the trailing block; row and column k
+        # are consumed and never read again, so they can stay stale.
+        for i in range(k + 1, n):
+            if s[i][k] != 0:
+                factor = s[i][k] / pivot
+                for j in range(k + 1, n):
+                    s[i][j] -= factor * s[k][j]
+    return signature_value
+
+
+def sylvester_resultant(f: list[int], g: list[int]) -> int:
+    """Resultant of two integer polynomials (constant coefficient first)
+    as the determinant of their Sylvester matrix."""
+    m, n = len(f) - 1, len(g) - 1
+    if m == 0:
+        return f[0] ** n
+    if n == 0:
+        return g[0] ** m
+    size = m + n
+    rows = []
+    for i in range(n):  # n rows of f's coefficients
+        row = [0] * size
+        for j, c in enumerate(reversed(f)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):  # m rows of g's coefficients
+        row = [0] * size
+        for j, c in enumerate(reversed(g)):
+            row[i + j] = c
+        rows.append(row)
+    return int_det(rows)
+
+
+def dense_alexander(entries) -> LaurentPolynomial:
+    """det(M - t M^T) by Bareiss, scaled by the unit and power of t that
+    make it symmetric with value 1 at t = 1."""
+    n = len(entries)
+    det = poly_det(
+        [[_ptrim([entries[i][j], -entries[j][i]]) for j in range(n)] for i in range(n)]
+    )
+    at_one = sum(det)
+    assert abs(at_one) == 1, det
+    return LaurentPolynomial({k - n // 2: at_one * c for k, c in enumerate(det)})
+
+
+def dense_signature(entries) -> int:
+    """Signature of M + M^T by congruence diagonalization."""
+    n = len(entries)
+    return symmetric_signature(
+        [[Fraction(entries[i][j] + entries[j][i]) for j in range(n)] for i in range(n)]
+    )

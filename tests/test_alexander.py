@@ -14,7 +14,6 @@ from twobridge import (
     alexander_poly,
     conway_even_form,
     genus3_closed_form,
-    is_tau_zero,
     knot_determinant,
     kx_alexander_closed,
     kx_family,
@@ -22,6 +21,7 @@ from twobridge import (
     seifert_from_conway,
     signature,
 )
+from dense_oracles import dense_alexander, dense_signature, int_det, symmetric_signature
 
 DELTA_927 = LaurentPolynomial({-3: -1, -2: 5, -1: -11, 0: 15, 1: -11, 2: 5, 3: -1})
 DELTA_41 = LaurentPolynomial({-1: -1, 0: 3, 1: -1})
@@ -85,6 +85,19 @@ class TestSeifertFromConway:
     def test_seifert_matrix_validation(self):
         with pytest.raises(DomainError):
             SeifertMatrix(((1, 0), (0, 1)))  # det(M - M^T) = 0
+        with pytest.raises(DomainError):
+            SeifertMatrix(((0, 0), (1, 1)))  # zero diagonal entry
+        with pytest.raises(DomainError):
+            SeifertMatrix(((1, 1), (0, 1)))  # unit on the wrong side
+        with pytest.raises(DomainError):
+            SeifertMatrix(((1, 0, 0), (1, 1, 1), (0, 0, 1)))  # odd size
+        with pytest.raises(DomainError):
+            SeifertMatrix(((1.0, 0), (1, 1)))  # inexact entry
+
+    def test_seifert_matrix_stores_exact_rows(self):
+        m = SeifertMatrix([[2, 0], [1, -3]])
+        assert m.entries == ((2, 0), (1, -3))
+        assert m == seifert_from_conway(ConwayForm((4, 6)))
 
 
 class TestAlexanderPoly:
@@ -267,7 +280,7 @@ class TestGenus3ClosedForm:
 
     def test_generic_diagonal_disagrees_with_determinant(self):
         # (1,1,1,1,1,1) comes from C[2,-2,2,-2,2,-2], the (2,7) torus knot.
-        # The determinant route is authoritative; the published expansion
+        # The recurrence route is authoritative; the published expansion
         # misses the (A+C)(D+F)-coupled terms and differs here.
         m = seifert_from_conway(ConwayForm((2, -2, 2, -2, 2, -2)))
         det_route = alexander_poly(m)
@@ -303,11 +316,10 @@ class TestSignature:
             signature(_bare_matrix(((0, 0), (0, 0))))
 
     def test_zero_diagonal_pivoting(self):
-        # hits the row/column addition branch of the diagonalization
-        from twobridge.alexander import _symmetric_signature
-
+        # hits the row/column addition branch of the dense oracle's
+        # diagonalization
         rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-        assert _symmetric_signature(rows) == 0
+        assert symmetric_signature(rows) == 0
 
 
 class TestDeterminant:
@@ -333,18 +345,26 @@ class TestDeterminant:
                 assert abs(d.evaluate(-1)) == knot_determinant(c)
 
 
-class TestTauVanishing:
-    def test_trivial(self):
-        assert is_tau_zero(0)
-        assert not is_tau_zero(2)
-        assert not is_tau_zero(-4)
+class TestDenseOracles:
+    def test_alexander_and_signature_match_dense_routes(self):
+        # every even form with alpha < 150; the Bareiss determinant costs
+        # about n^4 on these tridiagonal matrices, so Delta is compared up
+        # to genus 10 (2,107 of the 2,275 forms) and the torus-knot test in
+        # test_casson covers genus up to 49
+        for alpha in range(3, 150, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                c = conway_even_form(SchubertForm(alpha, beta))
+                m = seifert_from_conway(c)
+                assert signature(m) == dense_signature(m.entries), (alpha, beta)
+                if c.genus <= 10:
+                    assert alexander_poly(m) == dense_alexander(m.entries), (alpha, beta)
 
 
 class TestDeterminantHelpers:
     def test_int_det_against_cofactor_oracle(self):
         import random
-
-        from twobridge.alexander import _int_det
 
         def cofactor_det(m):
             n = len(m)
@@ -362,12 +382,10 @@ class TestDeterminantHelpers:
         for n in range(1, 6):
             for _ in range(40):
                 m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-                assert _int_det(m) == cofactor_det(m), m
+                assert int_det(m) == cofactor_det(m), m
 
     def test_int_det_singular_and_permutation(self):
-        from twobridge.alexander import _int_det
-
-        assert _int_det([[0, 1], [0, 3]]) == 0
+        assert int_det([[0, 1], [0, 3]]) == 0
         # zero pivot forces the row-swap branch
-        assert _int_det([[0, 1], [1, 0]]) == -1
-        assert _int_det([[0, 2, 0], [3, 0, 0], [0, 0, 4]]) == -24
+        assert int_det([[0, 1], [1, 0]]) == -1
+        assert int_det([[0, 2, 0], [3, 0, 0], [0, 0, 4]]) == -24

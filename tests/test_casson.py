@@ -12,15 +12,19 @@ from twobridge import (
     SchubertForm,
     SlopeSystem,
     SurgerySlope,
+    alexander_poly,
+    conway_even_form,
     cosmetic_difference,
     enumerate_bscf,
     kx_family,
     lambda_difference,
     lambda_surgery,
     root_of_unity_check,
+    seifert_from_conway,
     slope_distance,
     total_seminorm,
 )
+from dense_oracles import sylvester_resultant
 
 
 def _synthetic_system(slope_weights):
@@ -59,6 +63,11 @@ class TestSurgerySlope:
         assert SurgerySlope.parse("-1/2") == SurgerySlope(-1, 2)
         assert SurgerySlope.parse("4") == SurgerySlope(4, 1)
         assert SurgerySlope.parse("1/0").is_meridian
+
+    def test_parse_rejects_non_integers(self):
+        for bad in ["abc", "1/x", "3/", "1.5", "1/2/3", ""]:
+            with pytest.raises(DomainError):
+                SurgerySlope.parse(bad)
 
 
 class TestTotalSeminorm:
@@ -244,14 +253,50 @@ class TestRootOfUnityCheck:
                 a.pop()
             return len(a) == 1
 
-        polys = {
-            "tref": LaurentPolynomial({-1: 1, 0: -1, 1: 1}),
-            "f8": LaurentPolynomial({-1: -1, 0: 3, 1: -1}),
-            "927": LaurentPolynomial({-3: -1, -2: 5, -1: -11, 0: 15, 1: -11, 2: 5, 3: -1}),
-        }
-        for delta in polys.values():
-            exps = delta.exponents()
-            f = [delta.coefficient(k) for k in range(exps[0], exps[-1] + 1)]
+        # every distinct Alexander polynomial of a knot with alpha < 60
+        for delta in _distinct_deltas(60):
+            f = _coefficients(delta)
+            for p_prime in range(1, 25):
+                g = [-1] + [0] * (p_prime - 1) + [1]
+                assert root_of_unity_check(delta, p_prime) == gcd_is_unit(f, g), (delta, p_prime)
+
+    def test_matches_sylvester_resultant_oracle(self):
+        # the resultant of t^g delta and t^p' - 1 vanishes exactly when they
+        # share a root
+        for delta in _distinct_deltas(20):
+            f = _coefficients(delta)
             for p_prime in range(1, 13):
                 g = [-1] + [0] * (p_prime - 1) + [1]
-                assert root_of_unity_check(delta, p_prime) == gcd_is_unit(f, g)
+                assert root_of_unity_check(delta, p_prime) == (sylvester_resultant(f, g) != 0)
+
+    def test_torus_knot_closed_form(self):
+        # T(2,n) = S(n, n-1), n odd, has delta = sum_{k<n} (-t)^k up to a
+        # shift, i.e. (t^n + 1)/(t + 1): its roots are the roots of unity of
+        # order 2m with m | n, m > 1.  So the check fails exactly when p' is
+        # even and gcd(n, p'/2) > 1; large p' exercise large orders d.
+        for n in range(3, 100, 2):
+            delta = LaurentPolynomial({k - (n - 1) // 2: (-1) ** k for k in range(n)})
+            m = seifert_from_conway(conway_even_form(SchubertForm(n, n - 1)))
+            assert alexander_poly(m) == delta, n
+            for p_prime in [*range(1, 2 * n + 3), 999999, 1000002, 2 * n * 1000003]:
+                expected = not (p_prime % 2 == 0 and math.gcd(n, p_prime // 2) > 1)
+                assert root_of_unity_check(delta, p_prime) == expected, (n, p_prime)
+
+    def test_constant_polynomial_has_no_roots(self):
+        assert root_of_unity_check(LaurentPolynomial({0: 1}), 1000001)
+        assert not root_of_unity_check(LaurentPolynomial(), 3)
+
+
+def _distinct_deltas(alpha_max):
+    deltas = set()
+    for alpha in range(3, alpha_max, 2):
+        for beta in range(2, alpha, 2):
+            if math.gcd(alpha, beta) == 1:
+                c = conway_even_form(SchubertForm(alpha, beta))
+                deltas.add(alexander_poly(seifert_from_conway(c)))
+    return sorted(deltas, key=lambda d: d.items())
+
+
+def _coefficients(delta):
+    exps = delta.exponents()
+    return [delta.coefficient(k) for k in range(exps[0], exps[-1] + 1)]

@@ -151,6 +151,10 @@ class TestCasson:
         assert run(["casson", "S(49,19)", "1/0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_integer_slope_exits_2(self, capsys):
+        assert run(["casson", "9_27", "abc"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_fractional_value_serialized_as_string(self, capsys):
         # odd alpha = 5: (alpha-1)/4 = 1, seminorm/2 can be fractional
         doc = _json_out(capsys, ["casson", "S(5,2)", "1/2", "--json"])
@@ -203,9 +207,9 @@ class TestObstruct:
         assert run(["obstruct", "--census", "4", "--filter", "nonsense=1"]) == 2
 
     def test_census_threads_deterministic(self, capsys):
-        assert run(["obstruct", "--census", "7", "--jsonl", "--threads", "3"]) == 0
+        assert run(["obstruct", "--census", "7", "--jsonl"]) == 0
         first = capsys.readouterr().out
-        assert run(["obstruct", "--census", "7", "--jsonl", "--threads", "1"]) == 0
+        assert run(["obstruct", "--census", "7", "--jsonl"]) == 0
         second = capsys.readouterr().out
         assert first == second
 
@@ -257,3 +261,20 @@ class TestDeterminism:
 
     def test_missing_knot_exits_2(self, capsys):
         assert run(["info"]) == 2
+
+    def test_overlong_number_exits_2(self, capsys):
+        # int() refuses strings past the interpreter's digit limit
+        assert run(["info", "S(" + "1" * 5000 + ",2)"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestExitCodes:
+    def test_value_error_during_computation_exits_3(self, capsys, monkeypatch):
+        import twobridge.cli as cli
+
+        def broken(_knot):
+            raise ValueError("simulated bug")
+
+        monkeypatch.setattr(cli, "obstruct", broken)
+        assert run(["obstruct", "9_27"]) == 3
+        assert capsys.readouterr().err == "internal error: simulated bug\n"

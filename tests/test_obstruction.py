@@ -166,10 +166,23 @@ class TestCensus:
 
     def test_census_deterministic_and_sorted(self):
         a = census(7)
-        b = census(7, threads=2)
+        b = census(7)
         assert a == b
         keys = [(r.knot.alpha, r.knot.beta) for r in a]
         assert keys == sorted(keys)
+
+    def test_census_counts_match_ernst_sumners(self):
+        # knots with crossing number n, mirrors merged (Ernst-Sumners,
+        # Math. Proc. Camb. Phil. Soc. 1987)
+        def ernst_sumners(n):
+            if n % 2 == 0:
+                return (2 ** (n - 3) + 2 ** ((n - 4) // 2) - (n % 4 == 2)) // 3
+            return (2 ** (n - 3) + 2 ** ((n - 3) // 2) + (n % 4 == 3)) // 3
+
+        expected = [ernst_sumners(n) for n in range(3, 13)]
+        assert expected == [1, 1, 2, 3, 7, 12, 24, 45, 91, 176]
+        reports = census(12)
+        assert [sum(r.crossing_number == n for r in reports) for n in range(3, 13)] == expected
 
     def test_census_validation(self):
         with pytest.raises(DomainError):
