@@ -7,10 +7,11 @@ unit entries on the even rows, and the Alexander polynomial is
 det(M - t M^T) normalized by a unit times t^(-g) to be symmetric with
 value 1 at t = 1.
 
-That matrix is tridiagonal, so no matrix is eliminated: the Alexander
+That matrix is tridiagonal and its units never change, so it is stored
+as its diagonal alone and no matrix is ever built: the Alexander
 polynomial, the signature and the knot determinant all come from
 three-term recurrences for the leading minors of M - t M^T and M + M^T,
-read off the entries on and next to the diagonal.
+read off that diagonal.
 """
 
 from __future__ import annotations
@@ -144,96 +145,65 @@ class LaurentPolynomial:
 class SeifertMatrix:
     """Seifert matrix of the chain of twisted bands of an even Conway form.
 
-    An integer matrix of even size 2g with a nonzero diagonal, whose
-    0-based odd rows r carry unit entries in columns r - 1 and r + 1;
-    every other entry vanishes.  M - M^T is then tridiagonal with zero
-    diagonal and off-diagonal entries of absolute value 1, so
-    det(M - M^T) = 1 holds by construction.  Only this shape is
-    accepted; the entries on and beside the diagonal must be integers, the
-    others must equal 0.
+    The matrix has even size 2g and a nonzero integer diagonal; its
+    0-based odd rows r carry unit entries in columns r - 1 and r + 1, and
+    every other entry vanishes.  Those units never change, so only the
+    diagonal is stored.  M - M^T is tridiagonal with zero diagonal and
+    off-diagonal entries of absolute value 1, so det(M - M^T) = 1 holds
+    by construction.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    diagonal: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.entries))
-        n = len(rows)
-        if n == 0 or n % 2 != 0 or any(len(r) != n for r in rows):
-            raise DomainError("Seifert matrix must be square of even size >= 2")
-        for r, row in enumerate(rows):
-            units = [j for j in (r - 1, r + 1) if r % 2 and j < n]
-            if (
-                _as_int(row[r], "Seifert matrix entry") == 0
-                or any(_as_int(row[j], "Seifert matrix entry") != 1 for j in units)
-                or row.count(0) != n - 1 - len(units)
-            ):
-                raise DomainError(
-                    "Seifert matrix must have the chain shape built from an even Conway form"
-                )
-        object.__setattr__(self, "entries", rows)
+        diagonal = tuple(_as_int(d, "Seifert matrix entry") for d in self.diagonal)
+        if not diagonal or len(diagonal) % 2 != 0:
+            raise DomainError("Seifert matrix must have even size >= 2")
+        if 0 in diagonal:
+            raise DomainError("Seifert matrix diagonal entries must be nonzero")
+        object.__setattr__(self, "diagonal", diagonal)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.diagonal)
 
     @property
     def genus(self) -> int:
         return self.size // 2
 
 
-def _leading_minors(diagonal, off_diagonal):
+def _leading_minors(diagonal):
     """Leading principal minors D_1, ..., D_n of the symmetric tridiagonal
-    matrix with this diagonal and off-diagonal, by the three-term
-    recurrence D_k = a_k D_(k-1) - b_(k-1)^2 D_(k-2)."""
+    matrix with this diagonal and unit off-diagonal, by the three-term
+    recurrence D_k = a_k D_(k-1) - D_(k-2)."""
     prev, cur = 0, 1
-    for k, a in enumerate(diagonal):
-        b = off_diagonal[k - 1] if k else 0
-        prev, cur = cur, a * cur - b * b * prev
+    for a in diagonal:
+        prev, cur = cur, a * cur - prev
         yield cur
 
 
 def seifert_from_conway(c: ConwayForm) -> SeifertMatrix:
-    """Seifert matrix of the even Conway form C[e1, ..., e2g].
-
-    Diagonal entry i is (-1)^(i+1) * e_i / 2 (1-based) and every even row
-    2k carries unit entries in columns 2k-1 and 2k+1; all other entries
-    vanish.
-    """
-    n = len(c.entries)
-    rows = []
-    for r, e in enumerate(c.entries):  # 0-based row r
-        row = [0] * n
-        row[r] = e // 2 if r % 2 == 0 else -(e // 2)
-        if r % 2:
-            row[r - 1] = 1
-            if r + 1 < n:
-                row[r + 1] = 1
-        rows.append(tuple(row))
-    return SeifertMatrix(tuple(rows))
+    """Seifert matrix of the even Conway form C[e1, ..., e2g]: diagonal
+    entry i is (-1)^(i+1) * e_i / 2 (1-based)."""
+    return SeifertMatrix(
+        tuple(e // 2 if i % 2 == 0 else -(e // 2) for i, e in enumerate(c.entries))
+    )
 
 
 def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     """Normalized Alexander polynomial det(M - t M^T) * (unit * t^-g).
 
-    M - t M^T is tridiagonal, so its leading minors follow the
-    three-term recurrence
-        D_k = a_k (1 - t) D_(k-1) - (u - t l)(l - t u) D_(k-2)
-    with a_k the k-th diagonal entry of M and u, l the entries of M just
-    above and below the diagonal between rows k-1 and k; that is O(g^2)
-    coefficient operations.  The unit sign is fixed by requiring value 1
-    at t = 1, and the result must come out symmetric; anything else
-    signals an invalid Seifert matrix and raises NormalizationError.
+    M - t M^T is tridiagonal with diagonal a_k (1 - t) and, between rows
+    k-1 and k, one entry 1 and one entry -t, so its leading minors follow
+    the three-term recurrence
+        D_k = a_k (1 - t) D_(k-1) + t D_(k-2),
+    O(g^2) coefficient operations.  The unit sign is fixed by requiring
+    value 1 at t = 1, and the result must come out symmetric; anything
+    else signals an invalid Seifert matrix and raises NormalizationError.
     """
-    rows = M.entries
     prev, cur = [], [1]  # D_(-1) = 0 and D_0 = 1, constant coefficient first
-    for k in range(M.size):
-        a = rows[k][k]
-        u, l = (rows[k - 1][k], rows[k][k - 1]) if k else (0, 0)
-        # (u - t l)(l - t u) = p - s t + p t^2, where p = 0 on the chain shape
-        s, p = u * u + l * l, u * l
-        nxt = [a * (x - y) + s * z for x, y, z in zip(cur + [0], [0] + cur, [0] + prev + [0])]
-        if p:
-            nxt = [w - p * (z0 + z2) for w, z0, z2 in zip(nxt, prev + [0, 0], [0, 0] + prev)]
+    for a in M.diagonal:
+        nxt = [a * (x - y) + z for x, y, z in zip(cur + [0], [0] + cur, [0] + prev + [0])]
         prev, cur = cur, nxt
     if not any(cur):
         raise NormalizationError("det(M - t M^T) vanishes identically")
@@ -323,19 +293,15 @@ def genus3_closed_form(A: int, B: int, C: int, D: int, E: int, F: int) -> Lauren
 def signature(M: SeifertMatrix) -> int:
     """Knot signature: the signature of M + M^T, by Jacobi's rule.
 
-    M + M^T is tridiagonal, so its leading minors D_k come from the
-    recurrence that `knot_determinant` runs, and the signature is the
-    sum of sign(D_(k-1) * D_k).  For the chain shape the diagonal of
-    M + M^T is at least 2 in absolute value and the off-diagonal is 1,
-    so |D_k| grows strictly, no minor vanishes, and the result is an even
-    integer.  A vanishing minor means an invalid matrix: SingularError.
+    M + M^T is tridiagonal with diagonal 2 * M.diagonal and unit
+    off-diagonal, so the signature is the sum of sign(D_(k-1) * D_k)
+    over the leading minors that `knot_determinant` also runs.  Every
+    diagonal entry of M + M^T is at least 2 in absolute value, so |D_k|
+    grows strictly, no minor vanishes, and the result is an even integer.
+    A vanishing minor means an invalid matrix: SingularError.
     """
-    rows = M.entries
-    n = M.size
-    diagonal = [2 * rows[k][k] for k in range(n)]
-    off_diagonal = [rows[k][k + 1] + rows[k + 1][k] for k in range(n - 1)]
     sigma, prev = 0, 1
-    for k, minor in enumerate(_leading_minors(diagonal, off_diagonal), start=1):
+    for k, minor in enumerate(_leading_minors(2 * a for a in M.diagonal), start=1):
         if minor == 0:
             raise SingularError(f"leading minor {k} of M + M^T vanishes")
         sigma += 1 if (minor > 0) == (prev > 0) else -1
@@ -345,8 +311,6 @@ def signature(M: SeifertMatrix) -> int:
 
 def knot_determinant(c: ConwayForm) -> int:
     """|det(M + M^T)| for the Conway form's Seifert matrix: the last
-    leading minor of M + M^T, whose diagonal is (-1)^(i+1) * e_i and whose
-    off-diagonal is 1 (no matrix is built)."""
-    diagonal = [e if i % 2 == 0 else -e for i, e in enumerate(c.entries)]
-    *_, det = _leading_minors(diagonal, [1] * (len(diagonal) - 1))
+    leading minor of M + M^T, whose diagonal is 2 * M.diagonal."""
+    *_, det = _leading_minors(2 * a for a in seifert_from_conway(c).diagonal)
     return abs(det)

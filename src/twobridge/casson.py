@@ -75,9 +75,11 @@ class SurgerySlope:
 
 @dataclass(frozen=True)
 class LambdaValue:
-    """A Casson invariant value plus the status of the formula's hypotheses."""
+    """A Casson invariant value, the total seminorm it was computed from,
+    and the status of the formula's hypotheses."""
 
     value: Fraction
+    seminorm: Fraction
     hypotheses_ok: bool
     caveats: tuple[str, ...]
 
@@ -224,7 +226,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
         if any(rec.slope == r_eff.p for rec in sys.records):
             ok = False
             caveats.append(f"{r} is a boundary slope of this knot")
-    return LambdaValue(value=value, hypotheses_ok=ok, caveats=tuple(caveats))
+    return LambdaValue(value=value, seminorm=seminorm, hypotheses_ok=ok, caveats=tuple(caveats))
 
 
 def lambda_difference(sys: SlopeSystem, p: int, q: int) -> Fraction:

@@ -5,8 +5,9 @@ Knots are given as a Schubert form ``S(a,b)``, an even Conway form
 slice family.  Every numeric JSON field is an exact integer or a string
 "p/q"; output is byte-deterministic.
 
-Exit codes: 0 success, 2 bad input, 3 internal error (a violated invariant,
-or a ValueError raised while computing: both mean a bug in this package).
+Exit codes: 0 success, 2 bad input, 3 internal error (any other error of
+this package, or a ValueError raised while computing: both mean a bug in
+this package).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .alexander import (
     seifert_from_conway,
     signature,
 )
-from .casson import SurgerySlope, lambda_surgery, total_seminorm
-from .errors import DomainError, InternalError, MeridianError, TwoBridgeError
+from .casson import SurgerySlope, lambda_surgery
+from .errors import DomainError, MeridianError, TwoBridgeError
 from .obstruction import NAMED_FORMS, ObstructionReport, census, knot_name, obstruct
 from .rational import (
     ContinuedFraction,
@@ -221,13 +222,11 @@ def _cmd_casson(args) -> int:
     r = SurgerySlope.parse(args.slope)
     lam = lambda_surgery(s, r)  # rejects the meridian before anything else
     canonical, mirrored = preferred_form(s)
-    r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
-    seminorm = total_seminorm(enumerate_bscf(canonical), r_eff)
     payload = _knot_payload(s)
     payload.update(
         {
             "slope": str(r),
-            "total_seminorm": _rat(seminorm),
+            "total_seminorm": _rat(lam.seminorm),
             "lambda": _rat(lam.value),
             "hypotheses_ok": lam.hypotheses_ok,
             "caveats": list(lam.caveats),
@@ -352,12 +351,9 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, MeridianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, ValueError) as exc:
+    except (TwoBridgeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except TwoBridgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console_main() -> None:

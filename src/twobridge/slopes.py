@@ -157,7 +157,7 @@ def enumerate_bscf(s: SchubertForm) -> SlopeSystem:
             f"expected exactly one all-even expansion for {s}, found {len(even_indices)}"
         )
     longitude_index = even_indices[0]
-    longitude = cfs[longitude_index]
+    n0_plus, n0_minus = pattern_counts(cfs[longitude_index])
 
     built = []
     for cf in cfs:
@@ -167,7 +167,7 @@ def enumerate_bscf(s: SchubertForm) -> SlopeSystem:
                 cf=cf,
                 n_plus=n_plus,
                 n_minus=n_minus,
-                slope=slope_of(cf, longitude),
+                slope=2 * ((n_plus - n_minus) - (n0_plus - n0_minus)),  # as in slope_of
                 weight=weight(cf),
             )
         )

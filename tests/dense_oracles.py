@@ -1,10 +1,11 @@
 """Dense reference routes for the Alexander layer and the root-of-unity check.
 
 The package computes the Alexander polynomial, the signature and the
-root-of-unity condition by recurrences over the even Conway entries.
-These are the general-purpose routes they replaced, kept here only so
-the tests can compare the two: fraction-free (Bareiss) elimination over
-integer polynomials, symmetric congruence diagonalization over the
+root-of-unity condition by recurrences over the diagonal of the Seifert
+matrix.  These are the general-purpose routes they replaced, kept here
+only so the tests can compare the two: the full Seifert matrix built
+entry by entry from its definition, fraction-free (Bareiss) elimination
+over integer polynomials, symmetric congruence diagonalization over the
 rationals, and the Sylvester resultant.  They work on any square matrix,
 with no use of the tridiagonal shape.
 """
@@ -154,6 +155,21 @@ def sylvester_resultant(f: list[int], g: list[int]) -> int:
             row[i + j] = c
         rows.append(row)
     return int_det(rows)
+
+
+def dense_seifert(conway) -> tuple[tuple[int, ...], ...]:
+    """The 2g x 2g Seifert matrix of the band chain of C[e1, ..., e2g],
+    entry by entry (1-based i, j): M_ii = (-1)^(i+1) e_i / 2, M_ij = 1 for
+    even i and |i - j| = 1, and 0 everywhere else."""
+    e = conway.entries
+    n = len(e)
+
+    def entry(i, j):
+        if i == j:
+            return (-1) ** (i + 1) * e[i - 1] // 2
+        return 1 if i % 2 == 0 and abs(i - j) == 1 else 0
+
+    return tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 def dense_alexander(entries) -> LaurentPolynomial:

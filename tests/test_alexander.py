@@ -21,17 +21,23 @@ from twobridge import (
     seifert_from_conway,
     signature,
 )
-from dense_oracles import dense_alexander, dense_signature, int_det, symmetric_signature
+from dense_oracles import (
+    dense_alexander,
+    dense_seifert,
+    dense_signature,
+    int_det,
+    symmetric_signature,
+)
 
 DELTA_927 = LaurentPolynomial({-3: -1, -2: 5, -1: -11, 0: 15, 1: -11, 2: 5, 3: -1})
 DELTA_41 = LaurentPolynomial({-1: -1, 0: 3, 1: -1})
 DELTA_TREFOIL = LaurentPolynomial({-1: 1, 0: -1, 1: 1})
 
 
-def _bare_matrix(entries):
+def _bare_matrix(diagonal):
     """SeifertMatrix shell without validation, for exercising error paths."""
     m = object.__new__(SeifertMatrix)
-    object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "diagonal", diagonal)
     return m
 
 
@@ -63,20 +69,29 @@ class TestLaurentPolynomial:
 
 class TestSeifertFromConway:
     def test_genus3_slice_family_diagonal(self):
-        m = seifert_from_conway(ConwayForm((2, 2, -2, 2, 2, -2)))
-        assert [m.entries[i][i] for i in range(6)] == [1, -1, -1, -1, 1, 1]
-        # unit pattern sits on the even rows only
-        assert m.entries[1][0] == m.entries[1][2] == 1
-        assert m.entries[3][2] == m.entries[3][4] == 1
-        assert m.entries[5][4] == 1
-        off = [(i, j) for i in range(6) for j in range(6) if i != j and m.entries[i][j]]
-        assert off == [(1, 0), (1, 2), (3, 2), (3, 4), (5, 4)]
+        c = ConwayForm((2, 2, -2, 2, 2, -2))
+        m = seifert_from_conway(c)
+        assert m.diagonal == (1, -1, -1, -1, 1, 1)
+        assert (m.size, m.genus) == (6, 3)
+        # the full matrix it stands for: units on the even (1-based) rows only
+        assert dense_seifert(c) == (
+            (1, 0, 0, 0, 0, 0),
+            (1, -1, 1, 0, 0, 0),
+            (0, 0, -1, 0, 0, 0),
+            (0, 0, 1, -1, 1, 0),
+            (0, 0, 0, 0, 1, 0),
+            (0, 0, 0, 0, 1, 1),
+        )
 
     def test_trefoil(self):
-        assert seifert_from_conway(ConwayForm((2, -2))).entries == ((1, 0), (1, 1))
+        c = ConwayForm((2, -2))
+        assert seifert_from_conway(c).diagonal == (1, 1)
+        assert dense_seifert(c) == ((1, 0), (1, 1))
 
     def test_figure_eight(self):
-        assert seifert_from_conway(ConwayForm((2, 2))).entries == ((1, 0), (1, -1))
+        c = ConwayForm((2, 2))
+        assert seifert_from_conway(c).diagonal == (1, -1)
+        assert dense_seifert(c) == ((1, 0), (1, -1))
 
     def test_rejects_bad_entries(self):
         with pytest.raises(DomainError):
@@ -84,20 +99,20 @@ class TestSeifertFromConway:
 
     def test_seifert_matrix_validation(self):
         with pytest.raises(DomainError):
-            SeifertMatrix(((1, 0), (0, 1)))  # det(M - M^T) = 0
+            SeifertMatrix((0, 1))  # zero diagonal entry
         with pytest.raises(DomainError):
-            SeifertMatrix(((0, 0), (1, 1)))  # zero diagonal entry
+            SeifertMatrix((1, 1, 1))  # odd size
         with pytest.raises(DomainError):
-            SeifertMatrix(((1, 1), (0, 1)))  # unit on the wrong side
+            SeifertMatrix(())  # empty
         with pytest.raises(DomainError):
-            SeifertMatrix(((1, 0, 0), (1, 1, 1), (0, 0, 1)))  # odd size
-        with pytest.raises(DomainError):
-            SeifertMatrix(((1.0, 0), (1, 1)))  # inexact entry
+            SeifertMatrix((1.0, 1))  # inexact entry
 
     def test_seifert_matrix_stores_exact_rows(self):
-        m = SeifertMatrix([[2, 0], [1, -3]])
-        assert m.entries == ((2, 0), (1, -3))
+        # only the diagonal is stored; the units beside it are implied
+        m = SeifertMatrix([2, -3])
+        assert m.diagonal == (2, -3)
         assert m == seifert_from_conway(ConwayForm((4, 6)))
+        assert dense_seifert(ConwayForm((4, 6))) == ((2, 0), (1, -3))
 
 
 class TestAlexanderPoly:
@@ -110,7 +125,7 @@ class TestAlexanderPoly:
         assert alexander_poly(m) == DELTA_41
 
     def test_trefoil(self):
-        assert alexander_poly(SeifertMatrix(((1, 0), (1, 1)))) == DELTA_TREFOIL
+        assert alexander_poly(SeifertMatrix((1, 1))) == DELTA_TREFOIL
 
     def test_torus_knot_7(self):
         # S(7,6) is the (2,7) torus knot; alternating signs all the way
@@ -129,8 +144,9 @@ class TestAlexanderPoly:
                 assert d.is_symmetric()
 
     def test_normalization_error_on_invalid_matrix(self):
+        # odd size: the determinant vanishes at t = 1
         with pytest.raises(NormalizationError):
-            alexander_poly(_bare_matrix(((1, 0), (0, 1))))
+            alexander_poly(_bare_matrix((1, 1, 1)))
 
 
 class TestConwayEvenForm:
@@ -295,10 +311,10 @@ class TestSignature:
         assert signature(seifert_from_conway(ConwayForm((2, 2, -2, 2, 2, -2)))) == 0
 
     def test_trefoil(self):
-        assert signature(SeifertMatrix(((1, 0), (1, 1)))) == 2
+        assert signature(SeifertMatrix((1, 1))) == 2
 
     def test_figure_eight(self):
-        assert signature(SeifertMatrix(((1, 0), (1, -1)))) == 0
+        assert signature(SeifertMatrix((1, -1))) == 0
 
     def test_slice_family(self):
         for x in range(1, 11):
@@ -313,7 +329,7 @@ class TestSignature:
 
     def test_singular_error(self):
         with pytest.raises(SingularError):
-            signature(_bare_matrix(((0, 0), (0, 0))))
+            signature(_bare_matrix((0, 0)))
 
     def test_zero_diagonal_pivoting(self):
         # hits the row/column addition branch of the dense oracle's
@@ -357,9 +373,10 @@ class TestDenseOracles:
                     continue
                 c = conway_even_form(SchubertForm(alpha, beta))
                 m = seifert_from_conway(c)
-                assert signature(m) == dense_signature(m.entries), (alpha, beta)
+                dense = dense_seifert(c)
+                assert signature(m) == dense_signature(dense), (alpha, beta)
                 if c.genus <= 10:
-                    assert alexander_poly(m) == dense_alexander(m.entries), (alpha, beta)
+                    assert alexander_poly(m) == dense_alexander(dense), (alpha, beta)
 
 
 class TestDeterminantHelpers:

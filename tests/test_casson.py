@@ -127,6 +127,8 @@ class TestLambdaSurgery:
         lam = lambda_surgery(SchubertForm(49, 19), SurgerySlope(1, 1))
         assert lam.value == Fraction(134, 2) - Fraction(48, 4) == 55
         assert lam.hypotheses_ok
+        canonical_slopes = enumerate_bscf(SchubertForm(49, 18))
+        assert lam.seminorm == total_seminorm(canonical_slopes, SurgerySlope(-1, 1)) == 134
 
     def test_difference_of_opposite_slopes(self):
         plus = lambda_surgery(SchubertForm(49, 18), SurgerySlope(1, 1))

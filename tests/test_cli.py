@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twobridge import Equivalence, SchubertForm, equivalent
+from twobridge import Equivalence, NormalizationError, SchubertForm, equivalent
 from twobridge.cli import parse_knot_spec, run
 
 
@@ -269,11 +269,13 @@ class TestDeterminism:
 
 
 class TestExitCodes:
-    def test_value_error_during_computation_exits_3(self, capsys, monkeypatch):
+    # a violated invariant is a bug whatever the input, so it exits 3, not 2
+    @pytest.mark.parametrize("error", [ValueError, NormalizationError], ids=lambda e: e.__name__)
+    def test_bug_during_computation_exits_3(self, capsys, monkeypatch, error):
         import twobridge.cli as cli
 
         def broken(_knot):
-            raise ValueError("simulated bug")
+            raise error("simulated bug")
 
         monkeypatch.setattr(cli, "obstruct", broken)
         assert run(["obstruct", "9_27"]) == 3
