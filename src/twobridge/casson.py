@@ -37,7 +37,10 @@ from .alexander import (
 )
 from .errors import DomainError, MeridianError
 from .rational import SchubertForm, preferred_form
-from .slopes import SlopeSystem, enumerate_bscf
+from .slopes import SlopeSystem, SlopeWeights, slope_weights
+
+# Either carries .weights, the (slope, total weight) pairs; nothing else is read.
+SlopeData = SlopeSystem | SlopeWeights
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,11 @@ def slope_distance(r: SurgerySlope, N: int) -> int:
     return abs(r.p - r.q * N)
 
 
-def total_seminorm(sys: SlopeSystem, r: SurgerySlope) -> Fraction:
+def total_seminorm(sys: SlopeData, r: SurgerySlope) -> Fraction:
     """Total Culler-Shalen seminorm (-|p| + sum W_i |p - q N_i|) / 2."""
     if r.is_meridian:
         raise MeridianError("the seminorm formula does not apply to the meridian")
-    total = sum(rec.weight * slope_distance(r, rec.slope) for rec in sys.records)
+    total = sum(w * slope_distance(r, slope) for slope, w in sys.weights)
     return Fraction(-abs(r.p) + total, 2)
 
 
@@ -201,8 +204,8 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
     # every boundary slope; negating the surgery slope compensates, so the
     # value always describes the input knot.
     r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
-    sys = enumerate_bscf(canonical)
-    seminorm = total_seminorm(sys, r_eff)
+    weights = slope_weights(canonical)
+    seminorm = total_seminorm(weights, r_eff)
     if r.p % 2 == 0:
         value = seminorm / 2
     else:
@@ -223,29 +226,26 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
             )
     if r.q == 1 and r.p % 2 == 0:
         caveats.append("even integer slope: strictness of boundary slopes unverified")
-        if any(rec.slope == r_eff.p for rec in sys.records):
+        if any(slope == r_eff.p for slope, _ in weights.weights):
             ok = False
             caveats.append(f"{r} is a boundary slope of this knot")
     return LambdaValue(value=value, seminorm=seminorm, hypotheses_ok=ok, caveats=tuple(caveats))
 
 
-def lambda_difference(sys: SlopeSystem, p: int, q: int) -> Fraction:
+def lambda_difference(sys: SlopeData, p: int, q: int) -> Fraction:
     """lambda(K(p/q)) - lambda(K(-p/q)) = sum_i W_i(|p - qN_i| - |-p - qN_i|)/4."""
     if p < 1 or p % 2 == 0:
         raise DomainError(f"p must be a positive odd integer, got {p}")
     if q < 1 or math.gcd(p, q) != 1:
         raise DomainError(f"q must be positive and coprime to p, got {p}/{q}")
-    total = sum(
-        rec.weight * (abs(p - q * rec.slope) - abs(-p - q * rec.slope))
-        for rec in sys.records
-    )
+    total = sum(w * (abs(p - q * slope) - abs(-p - q * slope)) for slope, w in sys.weights)
     return Fraction(total, 4)
 
 
-def cosmetic_difference(sys: SlopeSystem) -> Fraction:
+def cosmetic_difference(sys: SlopeData) -> Fraction:
     """(sum_{N<0} W - sum_{N>0} W) / 2, the q-independent value of
     lambda_difference at p = 1.  Nonzero means no purely cosmetic
     surgery pair of the knot yields homology 3-spheres."""
-    negative = sum(rec.weight for rec in sys.records if rec.slope < 0)
-    positive = sum(rec.weight for rec in sys.records if rec.slope > 0)
+    negative = sum(w for slope, w in sys.weights if slope < 0)
+    positive = sum(w for slope, w in sys.weights if slope > 0)
     return Fraction(negative - positive, 2)

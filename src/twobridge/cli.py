@@ -5,9 +5,8 @@ Knots are given as a Schubert form ``S(a,b)``, an even Conway form
 slice family.  Every numeric JSON field is an exact integer or a string
 "p/q"; output is byte-deterministic.
 
-Exit codes: 0 success, 2 bad input, 3 internal error (any other error of
-this package, or a ValueError raised while computing: both mean a bug in
-this package).
+Exit codes: 0 success, 2 bad input, 3 internal error (any other
+exception, from this package or not: it means a bug in this package).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .alexander import (
     signature,
 )
 from .casson import SurgerySlope, lambda_surgery
-from .errors import DomainError, MeridianError, TwoBridgeError
+from .errors import DomainError, MeridianError
 from .obstruction import NAMED_FORMS, ObstructionReport, census, knot_name, obstruct
 from .rational import (
     ContinuedFraction,
@@ -351,7 +350,7 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, MeridianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TwoBridgeError, ValueError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

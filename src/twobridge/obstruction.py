@@ -31,7 +31,7 @@ from .alexander import (
 from .casson import cosmetic_difference
 from .errors import DomainError
 from .rational import SchubertForm, crossing_number, preferred_form
-from .slopes import enumerate_bscf
+from .slopes import slope_weights
 
 
 class Verdict(enum.Enum):
@@ -93,7 +93,7 @@ def obstruct(s: SchubertForm) -> ObstructionReport:
     delta = alexander_poly(matrix)
     delta_second = second_derivative_at_one(delta)
     sigma = signature(matrix)
-    diff = cosmetic_difference(enumerate_bscf(canonical))
+    diff = cosmetic_difference(slope_weights(canonical))
     verdict = classify(delta_second, sigma, diff)
     caveats: tuple[str, ...] = ()
     if verdict is Verdict.NO_HOMOLOGY_SPHERE_COSMETIC_SL2C:

@@ -1,15 +1,19 @@
-"""Boundary slope enumeration for two-bridge knots.
+"""Boundary slopes of two-bridge knots.
 
 Every boundary slope of S(alpha, beta) comes from a continued fraction
 expansion of beta/alpha whose tail terms all have absolute value >= 2
 (a "boundary slope continued fraction").  Two independent enumerators
-live here:
+and one aggregate live here:
 
   * enumerate_bscf: exhaustive depth-first search over all such
-    expansions, the primary route;
+    expansions, the primary listing;
   * mmr_substitution_enumerate: rewriting of the simple continued
     fraction by local substitutions at non-adjacent positions, kept as a
-    cross-check (the two must agree set-wise).
+    cross-check (the two must agree set-wise);
+  * slope_weights: the {slope: total weight} distribution alone, from
+    the same search memoised on its residual targets, so its cost
+    follows the number of distinct residuals rather than the number of
+    expansions (which grows exponentially in crossing number).
 
 Each expansion carries sign-pattern counts (n+, n-) against the
 alternating pattern +,-,+,-,..., a weight prod(|term|-1), and a slope
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .alexander import conway_even_form
 from .errors import DomainError, InternalError
 from .rational import ContinuedFraction, SchubertForm, cf_eval, simple_cf
 
@@ -48,6 +53,22 @@ class SlopeSystem:
     @property
     def longitude(self) -> BoundarySlopeRecord:
         return self.records[self.longitude_index]
+
+    @property
+    def weights(self) -> tuple[tuple[int, int], ...]:
+        """Total weight per boundary slope, as slope_weights gives it."""
+        totals: dict[int, int] = {}
+        for rec in self.records:
+            totals[rec.slope] = totals.get(rec.slope, 0) + rec.weight
+        return tuple(sorted(totals.items()))
+
+
+@dataclass(frozen=True)
+class SlopeWeights:
+    """The {boundary slope: total weight} distribution of one two-bridge knot."""
+
+    knot: SchubertForm
+    weights: tuple[tuple[int, int], ...]  # (slope, total weight), sorted by slope
 
 
 def pattern_counts(cf: ContinuedFraction) -> tuple[int, int]:
@@ -175,6 +196,74 @@ def enumerate_bscf(s: SchubertForm) -> SlopeSystem:
     if records[longitude_index].slope != 0:
         raise InternalError(f"longitude of {s} has nonzero slope")
     return SlopeSystem(knot=s, records=records, longitude_index=longitude_index)
+
+
+def _sign_step(term: int, odd_position: bool) -> int:
+    """+1 when the term's sign matches the pattern +,-,+,-,... at its position."""
+    return 1 if (term > 0) == odd_position else -1
+
+
+def slope_weights(s: SchubertForm) -> SlopeWeights:
+    """Total weight per boundary slope of a canonical (even-beta) form.
+
+    Walks the floor/ceiling search of _expansions, memoised on (residual
+    num, residual den, parity of the next tail position): each state maps
+    the sum of the sign steps n+ - n- over the rest of an expansion to the
+    total weight of the expansions with that sum.  Both integer parts 0
+    and 1 share the memo, and the longitude's sum, read off the even
+    Conway form, anchors the slopes.  Iterative with an explicit stack,
+    because expansions can run to thousands of terms.  The weights sum to
+    alpha and the longitude puts weight on slope 0; both are checked.
+    """
+    if s.beta % 2 != 0:
+        raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
+    memo: dict[tuple[int, int, bool], dict[int, int]] = {}
+    # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1
+    roots = [(s.alpha, s.beta, True), (-s.alpha, s.alpha - s.beta, True)]
+    stack = list(roots)
+    while stack:
+        state = stack[-1]
+        if state in memo:
+            stack.pop()
+            continue
+        num, den, odd = state
+        q, rem = divmod(num, den)
+        if rem == 0:
+            stack.pop()
+            memo[state] = {_sign_step(q, odd): abs(q) - 1} if abs(q) >= 2 else {}
+            continue
+        children = []
+        for a in (q, q + 1):  # floor and ceiling
+            if abs(a) < 2:
+                continue
+            new_num, new_den = den, num - a * den
+            if new_den < 0:
+                new_num, new_den = -new_num, -new_den
+            children.append((a, (new_num, new_den, not odd)))
+        pending = [child for _, child in children if child not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        dist: dict[int, int] = {}
+        for a, child in children:
+            step, w = _sign_step(a, odd), abs(a) - 1
+            for total, child_weight in memo[child].items():
+                dist[total + step] = dist.get(total + step, 0) + child_weight * w
+        memo[state] = dist
+
+    entries = conway_even_form(s).entries
+    longitude = sum(_sign_step(e, j % 2 == 1) for j, e in enumerate(entries, start=1))
+    totals: dict[int, int] = {}
+    for root in roots:
+        for total, w in memo[root].items():
+            slope = 2 * (total - longitude)
+            totals[slope] = totals.get(slope, 0) + w
+    if sum(totals.values()) != s.alpha:
+        raise InternalError(f"slope weights of {s} sum to {sum(totals.values())}, not alpha")
+    if not totals.get(0):
+        raise InternalError(f"no weight at the longitude slope 0 for {s}")
+    return SlopeWeights(knot=s, weights=tuple(sorted(totals.items())))
 
 
 def apply_substitutions(simple: ContinuedFraction, positions: set[int]) -> ContinuedFraction:

@@ -147,6 +147,12 @@ class TestCasson:
         assert doc["payload"]["lambda"] == 55
         assert doc["payload"]["hypotheses_ok"] is True
 
+    def test_long_expansion(self, capsys):
+        # boundary-slope expansions of 4,001 terms
+        doc = _json_out(capsys, ["casson", "S(4001,4000)", "1/1", "--json"])
+        assert doc["payload"]["total_seminorm"] == 16006000
+        assert doc["payload"]["lambda"] == 8002000
+
     def test_meridian_exits_2(self, capsys):
         assert run(["casson", "S(49,19)", "1/0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -270,7 +276,11 @@ class TestDeterminism:
 
 class TestExitCodes:
     # a violated invariant is a bug whatever the input, so it exits 3, not 2
-    @pytest.mark.parametrize("error", [ValueError, NormalizationError], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize(
+        "error",
+        [ValueError, NormalizationError, RecursionError, AssertionError],
+        ids=lambda e: e.__name__,
+    )
     def test_bug_during_computation_exits_3(self, capsys, monkeypatch, error):
         import twobridge.cli as cli
 

@@ -1,18 +1,28 @@
-"""Randomized checks of the Alexander layer against the dense routes.
+"""Randomized checks against the slow routes, and of presentation invariance.
 
 Conway forms are drawn at random (genus up to 6, entries up to 40 in
-absolute value); the examples are derandomized so every run sees the
-same ones.
+absolute value) for the Alexander layer; simple continued fraction
+tails of 10 to 30 crossings for the boundary slopes and the obstruction
+report.  The examples are derandomized so every run sees the same ones.
 """
 
 import pytest
 
 from twobridge import (
+    ContinuedFraction,
     ConwayForm,
+    Equivalence,
+    SchubertForm,
     alexander_poly,
+    cf_eval,
+    enumerate_bscf,
+    equivalent,
     knot_determinant,
+    obstruct,
+    preferred_form,
     seifert_from_conway,
     signature,
+    slope_weights,
 )
 from dense_oracles import dense_alexander, dense_seifert, dense_signature
 
@@ -25,6 +35,17 @@ conway_forms = st.integers(1, 6).flatmap(
 ).map(lambda entries: ConwayForm(tuple(entries)))
 
 
+# simple CF tails: positive terms, the last at least 2, term sum 10..30;
+# an even denominator is a two-component link and is skipped
+knots = (
+    st.lists(st.sampled_from((1, 1, 2, 3, 5)), min_size=5, max_size=24)
+    .filter(lambda t: t[-1] >= 2 and 10 <= sum(t) <= 30)
+    .map(lambda t: cf_eval(ContinuedFraction((0, *t))))
+    .filter(lambda value: value.denominator % 2 == 1)
+    .map(lambda value: SchubertForm(value.denominator, value.numerator))
+)
+
+
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @hypothesis.given(conway_forms)
 def test_band_recurrence_matches_dense_matrix(c):
@@ -34,3 +55,33 @@ def test_band_recurrence_matches_dense_matrix(c):
     assert delta == dense_alexander(dense)
     assert signature(m) == dense_signature(dense)
     assert abs(delta.evaluate(-1)) == knot_determinant(c)
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(knots)
+def test_slope_weights_match_enumeration(s):
+    canonical, _ = preferred_form(s)
+    weights = slope_weights(canonical).weights
+    assert weights == enumerate_bscf(canonical).weights
+    assert sum(w for _, w in weights) == s.alpha
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(knots)
+def test_report_is_invariant_across_presentations(s):
+    # beta and beta^-1 present the knot, -beta and -beta^-1 its mirror.
+    # A report on an odd-beta input describes the mirror (mirrored flag
+    # set), which negates sigma and the Casson difference; put back on
+    # the input knot, every field must agree across the four.
+    alpha, inv = s.alpha, pow(s.beta, -1, s.alpha)
+    seen = set()
+    for beta, chirality in ((s.beta, 1), (inv, 1), (alpha - s.beta, -1), (alpha - inv, -1)):
+        given = SchubertForm(alpha, beta)
+        r = obstruct(given)
+        shown = SchubertForm(alpha, alpha - r.knot.beta) if r.mirrored else r.knot
+        assert r.knot.beta % 2 == 0
+        assert equivalent(shown, given) is Equivalence.SAME
+        sign = chirality * (-1 if r.mirrored else 1)
+        seen.add((r.name, r.crossing_number, r.delta_second, sign * r.sigma,
+                  sign * r.casson_difference, r.verdict, r.caveats))
+    assert len(seen) == 1

@@ -17,6 +17,7 @@ from twobridge import (
     pattern_counts,
     simple_cf,
     slope_of,
+    slope_weights,
     weight,
 )
 
@@ -148,6 +149,39 @@ class TestEnumerate:
         for x in range(1, 6):
             s = kx_family(x)
             assert sum(r.weight for r in enumerate_bscf(s).records) == s.alpha
+
+
+class TestSlopeWeights:
+    def test_927_distribution(self):
+        # the ten records of CASES_927 folded by slope
+        assert slope_weights(SchubertForm(49, 18)).weights == (
+            (-10, 8), (-6, 6), (-4, 2), (-2, 2), (0, 9), (2, 4), (4, 6), (8, 12),
+        )
+        assert slope_weights(SchubertForm(49, 30)).weights == slope_weights(
+            SchubertForm(49, 18)
+        ).weights
+
+    def test_long_expansion_is_iterative(self):
+        # the expansions of 4000/4001 run to 4,001 terms, far past the
+        # interpreter's recursion limit
+        assert slope_weights(SchubertForm(4001, 4000)).weights == ((-8002, 4000), (0, 1))
+
+    def test_requires_even_beta(self):
+        with pytest.raises(DomainError):
+            slope_weights(SchubertForm(49, 19))
+
+    def test_matches_enumeration_exhaustively(self):
+        forms = [
+            SchubertForm(alpha, beta)
+            for alpha in range(3, 300, 2)
+            for beta in range(2, alpha, 2)
+            if math.gcd(alpha, beta) == 1
+        ]
+        forms += [kx_family(x) for x in range(1, 11)]
+        for s in forms:
+            got = slope_weights(s).weights
+            assert got == enumerate_bscf(s).weights, s
+            assert sum(w for _, w in got) == s.alpha
 
 
 class TestSubstitutions:
