@@ -37,7 +37,7 @@ from .alexander import (
 )
 from .errors import DomainError, MeridianError
 from .rational import SchubertForm, preferred_form
-from .slopes import SlopeSystem, SlopeWeights, slope_weights
+from .slopes import SlopeSystem, SlopeWeights, _slope_weights
 
 # Either carries .weights, the (slope, total weight) pairs; nothing else is read.
 SlopeData = SlopeSystem | SlopeWeights
@@ -204,7 +204,8 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
     # every boundary slope; negating the surgery slope compensates, so the
     # value always describes the input knot.
     r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
-    weights = slope_weights(canonical)
+    conway = conway_even_form(canonical)
+    weights = _slope_weights(canonical, conway.entries)
     seminorm = total_seminorm(weights, r_eff)
     if r.p % 2 == 0:
         value = seminorm / 2
@@ -218,7 +219,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
         caveats.append("longitudinal slope p = 0: the root-of-unity condition degenerates")
     else:
         p_prime = abs(r.p) if r.p % 2 else abs(r.p) // 2
-        delta = alexander_poly(seifert_from_conway(conway_even_form(canonical)))
+        delta = alexander_poly(seifert_from_conway(conway))
         if not root_of_unity_check(delta, p_prime):
             ok = False
             caveats.append(

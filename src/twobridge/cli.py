@@ -96,6 +96,13 @@ def _document(command: str, payload) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
 
 
+# The keys of _report_payload, which --filter may name.
+_REPORT_FIELDS = (
+    "name", "schubert", "mirrored", "crossing_number", "delta_second",
+    "sigma", "casson_difference", "verdict", "caveats",
+)
+
+
 def _report_payload(r: ObstructionReport) -> dict:
     return {
         "name": r.name,
@@ -247,24 +254,25 @@ def _cmd_casson(args) -> int:
     return 0
 
 
-def _matches_filters(payload: dict, filters: list[str]) -> bool:
+def _parse_filters(filters: list[str]) -> list[tuple[str, str]]:
+    """(field, value) pairs from FIELD=VALUE texts, each field a report key."""
+    parsed = []
     for f in filters:
         if "=" not in f:
             raise DomainError(f"bad --filter {f!r}, want field=value")
         key, _, value = f.partition("=")
         key = key.strip()
-        if key not in payload:
+        if key not in _REPORT_FIELDS:
             raise DomainError(f"unknown filter field {key!r}")
-        if str(payload[key]) != value.strip():
-            return False
-    return True
+        parsed.append((key, value.strip()))
+    return parsed
 
 
 def _cmd_obstruct(args) -> int:
     if args.census is not None:
-        reports = census(args.census)
-        payloads = [_report_payload(r) for r in reports]
-        payloads = [p for p in payloads if _matches_filters(p, args.filter)]
+        filters = _parse_filters(args.filter)  # before the census does any work
+        payloads = [_report_payload(r) for r in census(args.census)]
+        payloads = [p for p in payloads if all(str(p[k]) == v for k, v in filters)]
         if args.jsonl:
             for p in payloads:
                 print(json.dumps(_document("obstruct", p)))

@@ -206,6 +206,18 @@ def _sign_step(term: int, odd_position: bool) -> int:
 def slope_weights(s: SchubertForm) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form.
 
+    See _slope_weights, which this calls with the entries of the even
+    Conway form of s.
+    """
+    if s.beta % 2 != 0:
+        raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
+    return _slope_weights(s, conway_even_form(s).entries)
+
+
+def _slope_weights(s: SchubertForm, entries: tuple[int, ...]) -> SlopeWeights:
+    """Total weight per boundary slope of a canonical (even-beta) form s,
+    given the entries of its even Conway form.
+
     Walks the floor/ceiling search of _expansions, memoised on (residual
     num, residual den, parity of the next tail position): each state maps
     the sum of the sign steps n+ - n- over the rest of an expansion to the
@@ -215,8 +227,6 @@ def slope_weights(s: SchubertForm) -> SlopeWeights:
     because expansions can run to thousands of terms.  The weights sum to
     alpha and the longitude puts weight on slope 0; both are checked.
     """
-    if s.beta % 2 != 0:
-        raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
     memo: dict[tuple[int, int, bool], dict[int, int]] = {}
     # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1
     roots = [(s.alpha, s.beta, True), (-s.alpha, s.alpha - s.beta, True)]
@@ -252,7 +262,6 @@ def slope_weights(s: SchubertForm) -> SlopeWeights:
                 dist[total + step] = dist.get(total + step, 0) + child_weight * w
         memo[state] = dist
 
-    entries = conway_even_form(s).entries
     longitude = sum(_sign_step(e, j % 2 == 1) for j, e in enumerate(entries, start=1))
     totals: dict[int, int] = {}
     for root in roots:

@@ -1,4 +1,5 @@
-"""Dense reference routes for the Alexander layer and the root-of-unity check.
+"""Dense reference routes for the Alexander layer, the root-of-unity
+check and the census.
 
 The package computes the Alexander polynomial, the signature and the
 root-of-unity condition by recurrences over the diagonal of the Seifert
@@ -7,14 +8,18 @@ only so the tests can compare the two: the full Seifert matrix built
 entry by entry from its definition, fraction-free (Bareiss) elimination
 over integer polynomials, symmetric congruence diagonalization over the
 rationals, and the Sylvester resultant.  They work on any square matrix,
-with no use of the tridiagonal shape.
+with no use of the tridiagonal shape.  The census scan tests every
+(alpha, beta) up to a Fibonacci bound, where the package walks simple
+continued fraction tails.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from twobridge import InternalError, LaurentPolynomial, SingularError
+from twobridge import InternalError, LaurentPolynomial, SchubertForm, SingularError, crossing_number
+from twobridge.obstruction import class_key
 
 # -- dense integer-polynomial helpers (little-endian coefficient lists) --
 
@@ -190,3 +195,22 @@ def dense_signature(entries) -> int:
     return symmetric_signature(
         [[Fraction(entries[i][j] + entries[j][i]) for j in range(n)] for i in range(n)]
     )
+
+
+def scan_census_classes(max_crossings: int) -> set[tuple[int, int, int]]:
+    """(alpha, class key, crossing number) of every knot class with at most
+    max_crossings crossings, by testing every odd alpha up to Fib(N+1)
+    (the largest continuant of positive terms summing to N) and every
+    beta below it."""
+    a, b = 1, 1
+    for _ in range(max_crossings):
+        a, b = b, a + b
+    classes = set()
+    for alpha in range(3, a + 1, 2):
+        for beta in range(1, alpha):
+            if math.gcd(alpha, beta) != 1 or class_key(alpha, beta) != beta:
+                continue
+            c = crossing_number(SchubertForm(alpha, beta))
+            if c <= max_crossings:
+                classes.add((alpha, beta, c))
+    return classes

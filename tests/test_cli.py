@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twobridge import Equivalence, NormalizationError, SchubertForm, equivalent
+from twobridge import CENSUS_MAX_CROSSINGS, Equivalence, NormalizationError, SchubertForm, equivalent
 from twobridge.cli import parse_knot_spec, run
 
 
@@ -212,7 +212,38 @@ class TestObstruct:
     def test_bad_filter_exits_2(self, capsys):
         assert run(["obstruct", "--census", "4", "--filter", "nonsense=1"]) == 2
 
-    def test_census_threads_deterministic(self, capsys):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("nonsense=1", "unknown filter field 'nonsense'"),
+         ("sigma", "bad --filter 'sigma', want field=value")],
+    )
+    def test_bad_filter_rejected_before_census(self, capsys, monkeypatch, bad, message):
+        import twobridge.cli as cli
+
+        def no_census(_n):
+            raise AssertionError("census ran before the filter was checked")
+
+        monkeypatch.setattr(cli, "census", no_census)
+        argv = ["obstruct", "--census", "9", "--filter", "sigma=0", "--filter", bad]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_filter_fields_are_the_report_keys(self):
+        import twobridge.cli as cli
+        from twobridge import obstruct
+
+        payload = cli._report_payload(obstruct(SchubertForm(49, 18)))
+        assert tuple(payload) == cli._REPORT_FIELDS
+
+    def test_census_over_limit_exits_2_at_once(self, capsys):
+        assert run(["obstruct", "--census", "40", "--jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: census is limited to {CENSUS_MAX_CROSSINGS} crossings, got 40\n"
+        )
+
+    def test_census_deterministic(self, capsys):
         assert run(["obstruct", "--census", "7", "--jsonl"]) == 0
         first = capsys.readouterr().out
         assert run(["obstruct", "--census", "7", "--jsonl"]) == 0

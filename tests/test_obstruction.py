@@ -4,18 +4,22 @@ from fractions import Fraction
 import pytest
 
 from twobridge import (
+    CENSUS_MAX_CROSSINGS,
     DomainError,
     Equivalence,
     SchubertForm,
     Verdict,
     census,
     classify,
+    crossing_number,
     equivalent,
     knot_name,
     kx_family,
     niwu_candidate_slopes,
     obstruct,
 )
+from twobridge.obstruction import _class_representatives, class_key
+from dense_oracles import scan_census_classes
 
 # Schubert forms of the thirteen knots with vanishing signature among
 # two-bridge knots of at most nine crossings.
@@ -179,14 +183,27 @@ class TestCensus:
                 return (2 ** (n - 3) + 2 ** ((n - 4) // 2) - (n % 4 == 2)) // 3
             return (2 ** (n - 3) + 2 ** ((n - 3) // 2) + (n % 4 == 3)) // 3
 
-        expected = [ernst_sumners(n) for n in range(3, 13)]
-        assert expected == [1, 1, 2, 3, 7, 12, 24, 45, 91, 176]
-        reports = census(12)
-        assert [sum(r.crossing_number == n for r in reports) for n in range(3, 13)] == expected
+        expected = [ernst_sumners(n) for n in range(3, 14)]
+        assert expected == [1, 1, 2, 3, 7, 12, 24, 45, 91, 176, 352]
+        reports = census(13)
+        assert [sum(r.crossing_number == n for r in reports) for n in range(3, 14)] == expected
+
+    def test_tail_walk_matches_the_scan(self):
+        # the classes the tail walk emits, with the crossing number the
+        # package computes for each, against the old scan over every
+        # (alpha, beta) up to Fib(N+1)
+        scanned = scan_census_classes(13)
+        for n in range(3, 14):
+            forms = _class_representatives(n)
+            got = {(f.alpha, class_key(f.alpha, f.beta), crossing_number(f)) for f in forms}
+            assert len(got) == len(forms)
+            assert got == {c for c in scanned if c[2] <= n}
 
     def test_census_validation(self):
         with pytest.raises(DomainError):
             census(2)
+        with pytest.raises(DomainError, match=f"limited to {CENSUS_MAX_CROSSINGS} crossings"):
+            census(CENSUS_MAX_CROSSINGS + 1)
 
 
 class TestNames:

@@ -2,8 +2,9 @@
 
 Conway forms are drawn at random (genus up to 6, entries up to 40 in
 absolute value) for the Alexander layer; simple continued fraction
-tails of 10 to 30 crossings for the boundary slopes and the obstruction
-report.  The examples are derandomized so every run sees the same ones.
+tails of 10 to 30 crossings for the boundary slopes, the obstruction
+report and the crossing number.  The examples are derandomized so every
+run sees the same ones.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from twobridge import (
     SchubertForm,
     alexander_poly,
     cf_eval,
+    crossing_number,
     enumerate_bscf,
     equivalent,
     knot_determinant,
@@ -35,15 +37,16 @@ conway_forms = st.integers(1, 6).flatmap(
 ).map(lambda entries: ConwayForm(tuple(entries)))
 
 
-# simple CF tails: positive terms, the last at least 2, term sum 10..30;
-# an even denominator is a two-component link and is skipped
-knots = (
+# simple CF tails: positive terms, the last at least 2, term sum 10..30,
+# with the value [0, *tail]; an even denominator is a two-component link
+# and is skipped
+knot_tails = (
     st.lists(st.sampled_from((1, 1, 2, 3, 5)), min_size=5, max_size=24)
     .filter(lambda t: t[-1] >= 2 and 10 <= sum(t) <= 30)
-    .map(lambda t: cf_eval(ContinuedFraction((0, *t))))
-    .filter(lambda value: value.denominator % 2 == 1)
-    .map(lambda value: SchubertForm(value.denominator, value.numerator))
+    .map(lambda t: (t, cf_eval(ContinuedFraction((0, *t)))))
+    .filter(lambda tail_value: tail_value[1].denominator % 2 == 1)
 )
+knots = knot_tails.map(lambda tv: SchubertForm(tv[1].denominator, tv[1].numerator))
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -85,3 +88,14 @@ def test_report_is_invariant_across_presentations(s):
         seen.add((r.name, r.crossing_number, r.delta_second, sign * r.sigma,
                   sign * r.casson_difference, r.verdict, r.caveats))
     assert len(seen) == 1
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(knot_tails)
+def test_crossing_number_is_the_tail_sum(tail_value):
+    # what lets the census walk tails instead of computing crossing numbers
+    tail, value = tail_value
+    alpha, beta = value.denominator, value.numerator
+    inv = pow(beta, -1, alpha)
+    for b in (beta, alpha - beta, inv, alpha - inv):
+        assert crossing_number(SchubertForm(alpha, b)) == sum(tail)
