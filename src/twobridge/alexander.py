@@ -217,6 +217,28 @@ def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     return poly
 
 
+def alexander_second_derivative(M: SeifertMatrix) -> int:
+    """Delta''(1) of the normalized Alexander polynomial, without building it.
+
+    Put D_k = t^(k/2) F_k in the recurrence of `alexander_poly`; then
+        F_k = -a_k z F_(k-1) + F_(k-2),   z = t^(1/2) - t^(-1/2),
+    and Delta = F(0) F_2g with F(0) = +-1.  As z(1) = 0, z'(1) = 1 and
+    z''(1) = -1, Delta''(1) = F(0) (2 [z^2]F_2g - [z]F_2g), so F is kept
+    mod z^3: three integers per step, O(g) steps.  A valid matrix gives
+    [z]F_2g = 0 (Delta is symmetric) and F(0) = 1; anything else raises
+    NormalizationError, as `alexander_poly` does.
+    """
+    prev, cur = (0, 0, 0), (1, 0, 0)  # F_(-1) and F_0 mod z^3, constant first
+    for a in M.diagonal:
+        prev, cur = cur, (prev[0], prev[1] - a * cur[0], prev[2] - a * cur[1])
+    unit, odd, second = cur
+    if abs(unit) != 1:
+        raise NormalizationError(f"determinant evaluates to {unit} at t=1, not a unit")
+    if odd:
+        raise NormalizationError("no unit multiple of t^-g makes the determinant symmetric")
+    return 2 * unit * second
+
+
 def conway_even_form(s: SchubertForm) -> ConwayForm:
     """Even Conway form: tail of the unique all-even expansion of beta/alpha.
 

@@ -26,7 +26,7 @@ from .alexander import (
 )
 from .casson import SurgerySlope, lambda_surgery
 from .errors import DomainError, MeridianError
-from .obstruction import NAMED_FORMS, ObstructionReport, census, knot_name, obstruct
+from .obstruction import NAMED_FORMS, ObstructionReport, _unsorted_census, knot_name, obstruct
 from .rational import (
     ContinuedFraction,
     ConwayForm,
@@ -268,26 +268,39 @@ def _parse_filters(filters: list[str]) -> list[tuple[str, str]]:
     return parsed
 
 
+def _census_line(p: dict, jsonl: bool) -> str:
+    if jsonl:
+        return json.dumps(_document("obstruct", p))
+    name = p["name"] or f"S({p['schubert']['alpha']},{p['schubert']['beta']})"
+    return (
+        f"{name:<8} S({p['schubert']['alpha']},{p['schubert']['beta']})"
+        f" crossings={p['crossing_number']}"
+        f" delta''={p['delta_second']} sigma={p['sigma']}"
+        f" diff={p['casson_difference']} {p['verdict']}"
+    )
+
+
 def _cmd_obstruct(args) -> int:
     if args.census is not None:
         filters = _parse_filters(args.filter)  # before the census does any work
-        payloads = [_report_payload(r) for r in census(args.census)]
-        payloads = [p for p in payloads if all(str(p[k]) == v for k, v in filters)]
-        if args.jsonl:
-            for p in payloads:
-                print(json.dumps(_document("obstruct", p)))
-        elif args.json:
-            print(json.dumps(_document("obstruct", payloads), indent=2))
+        array = args.json and not args.jsonl  # --jsonl wins over --json
+        # (alpha, beta, finished line) per kept knot, or the payload for a
+        # JSON array; the reports themselves are not kept
+        rows = []
+        for r in _unsorted_census(args.census):
+            p = _report_payload(r)
+            if all(str(p[k]) == v for k, v in filters):
+                entry = p if array else _census_line(p, args.jsonl)
+                rows.append((r.knot.alpha, r.knot.beta, entry))
+        rows.sort(key=lambda row: row[:2])
+        if array:
+            print(json.dumps(_document("obstruct", [p for _, _, p in rows]), indent=2))
         else:
-            for p in payloads:
-                name = p["name"] or f"S({p['schubert']['alpha']},{p['schubert']['beta']})"
-                print(
-                    f"{name:<8} S({p['schubert']['alpha']},{p['schubert']['beta']})"
-                    f" crossings={p['crossing_number']}"
-                    f" delta''={p['delta_second']} sigma={p['sigma']}"
-                    f" diff={p['casson_difference']} {p['verdict']}"
-                )
+            for _, _, line in rows:
+                print(line)
         return 0
+    if args.filter:
+        raise DomainError("--filter needs --census")
     s = _resolve_knot(args)
     payload = _report_payload(obstruct(s))
     if args.json or args.jsonl:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .alexander import (
-    alexander_poly,
+    alexander_second_derivative,
     conway_even_form,
-    second_derivative_at_one,
     seifert_from_conway,
     signature,
 )
@@ -88,13 +88,18 @@ def classify(delta_second: int, sigma: int, casson_difference: Fraction) -> Verd
 
 def obstruct(s: SchubertForm) -> ObstructionReport:
     """Run all three obstructions on one knot and report the verdict."""
+    return _obstruct(s, {})
+
+
+def _obstruct(s: SchubertForm, memo: dict) -> ObstructionReport:
+    """obstruct, with the slope walk reading and filling memo (see
+    slopes._slope_weights), which a census shares across its knots."""
     canonical, mirrored = preferred_form(s)
     conway = conway_even_form(canonical)
     matrix = seifert_from_conway(conway)
-    delta = alexander_poly(matrix)
-    delta_second = second_derivative_at_one(delta)
+    delta_second = alexander_second_derivative(matrix)
     sigma = signature(matrix)
-    diff = cosmetic_difference(_slope_weights(canonical, conway.entries))
+    diff = cosmetic_difference(_slope_weights(canonical, conway.entries, memo))
     verdict = classify(delta_second, sigma, diff)
     caveats: tuple[str, ...] = ()
     if verdict is Verdict.NO_HOMOLOGY_SPHERE_COSMETIC_SL2C:
@@ -170,14 +175,17 @@ def knot_name(s: SchubertForm) -> str | None:
 
 
 # census(N) reports about 2^(N-2)/3 knots, and the time per knot grows
-# slowly with N: `obstruct --census N --jsonl` takes about 2 s at N = 16,
-# 9 s at N = 18 and 38 s at N = 20 (87,722 knots, 111 MB peak RSS) on a
-# 2-CPU x86_64 container with Python 3.11, so N = 21 would pass a minute.
+# slowly with N: `obstruct --census N --jsonl` takes 0.6 s of CPU time
+# at N = 16 (22.5 MB peak RSS), 2.4 s at N = 18 (43 MB) and 10.6 s at
+# N = 20 (87,722 knots, 74 MB) on a 2-CPU x86_64 container with Python
+# 3.11.  Memory is the slope memo, at most slopes.MEMO_CAP states (it
+# was cleared 13 times at N = 20), plus one output line per knot.
 CENSUS_MAX_CROSSINGS = 20
 
 
-def _class_representatives(max_crossings: int) -> list[SchubertForm]:
-    """S(alpha, class_key) for every knot class of crossing number <= max_crossings.
+def _class_representatives(max_crossings: int) -> Iterator[SchubertForm]:
+    """S(alpha, class_key) for every knot class of crossing number <= max_crossings,
+    one at a time.
 
     Depth-first over simple continued fraction tails [a1, ..., ak] of
     beta/alpha (positive terms, the last >= 2), each carrying its
@@ -187,16 +195,14 @@ def _class_representatives(max_crossings: int) -> list[SchubertForm]:
     presentations of the knot; so a tail of sum <= max_crossings is kept
     exactly when alpha is odd and beta is its class key.
     """
-    forms = []
     # (p_prev, q_prev, p, q, term sum, last term) after the tail [a1]
     stack = [(0, 1, 1, a1, a1, a1) for a1 in range(2, max_crossings + 1)]
     while stack:
         p_prev, q_prev, p, q, total, last = stack.pop()
         if last >= 2 and q % 2 == 1 and class_key(q, p) == p:
-            forms.append(SchubertForm(q, p))
+            yield SchubertForm(q, p)
         for a in range(1, max_crossings - total + 1):
             stack.append((p, q, a * p + p_prev, a * q + q_prev, total + a, a))
-    return forms
 
 
 def census(max_crossings: int) -> list[ObstructionReport]:
@@ -207,12 +213,21 @@ def census(max_crossings: int) -> list[ObstructionReport]:
     the number of knots reported, not with the range of alpha.
     max_crossings above CENSUS_MAX_CROSSINGS is refused.
     """
+    reports = list(_unsorted_census(max_crossings))
+    reports.sort(key=lambda r: (r.knot.alpha, r.knot.beta))
+    return reports
+
+
+def _unsorted_census(max_crossings: int) -> Iterator[ObstructionReport]:
+    """The reports of census(max_crossings), one at a time in the order of
+    the tail walk, so a caller can keep less than the reports.  The bound
+    is checked at the call, before any work.  All knots share one slope
+    memo, which slopes.MEMO_CAP bounds."""
     if max_crossings < 3:
         raise DomainError(f"max_crossings must be >= 3, got {max_crossings}")
     if max_crossings > CENSUS_MAX_CROSSINGS:
         raise DomainError(
             f"census is limited to {CENSUS_MAX_CROSSINGS} crossings, got {max_crossings}"
         )
-    reports = [obstruct(form) for form in _class_representatives(max_crossings)]
-    reports.sort(key=lambda r: (r.knot.alpha, r.knot.beta))
-    return reports
+    memo: dict = {}
+    return (_obstruct(form, memo) for form in _class_representatives(max_crossings))

@@ -250,4 +250,9 @@ def crossing_number(s: SchubertForm) -> int:
     even-beta representative realizes the minimal crossing number.
     """
     canonical, _ = canonicalize(s)
-    return sum(simple_cf(canonical.fraction).tail)
+    total, num, den = 0, canonical.alpha, canonical.beta
+    while den:  # the Euclidean quotients of alpha/beta are that tail
+        q, rem = divmod(num, den)
+        total += q
+        num, den = den, rem
+    return total

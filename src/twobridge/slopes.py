@@ -207,66 +207,82 @@ def slope_weights(s: SchubertForm) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form.
 
     See _slope_weights, which this calls with the entries of the even
-    Conway form of s.
+    Conway form of s and a fresh memo.
     """
     if s.beta % 2 != 0:
         raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
-    return _slope_weights(s, conway_even_form(s).entries)
+    return _slope_weights(s, conway_even_form(s).entries, {})
 
 
-def _slope_weights(s: SchubertForm, entries: tuple[int, ...]) -> SlopeWeights:
+# A memo shared by many walks (one census) is cleared before a walk once
+# it holds this many states, about 16 MB (some 500 bytes a state).  A
+# census up to 18 crossings never reaches it (32,365 states at N = 18).
+MEMO_CAP = 32768
+
+
+def _slope_weights(s: SchubertForm, entries: tuple[int, ...],
+                   memo: dict[tuple[int, int], dict[int, int]]) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form s,
     given the entries of its even Conway form.
 
-    Walks the floor/ceiling search of _expansions, memoised on (residual
-    num, residual den, parity of the next tail position): each state maps
-    the sum of the sign steps n+ - n- over the rest of an expansion to the
-    total weight of the expansions with that sum.  Both integer parts 0
-    and 1 share the memo, and the longitude's sum, read off the even
-    Conway form, anchors the slopes.  Iterative with an explicit stack,
-    because expansions can run to thousands of terms.  The weights sum to
-    alpha and the longitude puts weight on slope 0; both are checked.
+    Walks the floor/ceiling search of _expansions, memoised on residual
+    targets: each state maps the sum of the sign steps n+ - n- over the
+    rest of an expansion to the total weight of the expansions with that
+    sum.  Negating the target negates every term, and flipping the parity
+    of the next tail position flips the pattern; either one negates every
+    sign step and keeps the weights.  So memo[(n, d)] holds the
+    distribution of the target n/d > 1 at an odd position alone: -n/d at
+    an even position has the same one, the other two cases have its
+    reflection {-total: w}, and every term of that walk is positive.
+    Floor q (when q >= 2) leaves the positive target d/rem at an even
+    position, ceiling q + 1 the negative target -d/(d - rem).
+
+    A state's distribution depends on its key alone, so one memo can
+    serve many knots and any entry may be dropped; the memo is cleared
+    before the walk once it holds MEMO_CAP states.  The two roots, one
+    per integer part 0 and 1, are read and dropped: no other census knot
+    starts there, and few walks pass through them.  The longitude's sum,
+    read off the even Conway form, anchors the slopes.  Iterative with an
+    explicit stack, because expansions can run to thousands of terms.
+    The weights sum to alpha and the longitude puts weight on slope 0;
+    both are checked.
     """
-    memo: dict[tuple[int, int, bool], dict[int, int]] = {}
-    # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1
-    roots = [(s.alpha, s.beta, True), (-s.alpha, s.alpha - s.beta, True)]
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1:
+    # alpha/beta, and -alpha/(alpha - beta), the reflection of its key
+    roots = [(s.alpha, s.beta), (s.alpha, s.alpha - s.beta)]
     stack = list(roots)
     while stack:
-        state = stack[-1]
-        if state in memo:
+        key = stack[-1]
+        if key in memo:
             stack.pop()
             continue
-        num, den, odd = state
-        q, rem = divmod(num, den)
+        n, d = key
+        q, rem = divmod(n, d)
         if rem == 0:
             stack.pop()
-            memo[state] = {_sign_step(q, odd): abs(q) - 1} if abs(q) >= 2 else {}
+            memo[key] = {1: q - 1}  # q >= 2, as every target exceeds 1
             continue
-        children = []
-        for a in (q, q + 1):  # floor and ceiling
-            if abs(a) < 2:
-                continue
-            new_num, new_den = den, num - a * den
-            if new_den < 0:
-                new_num, new_den = -new_num, -new_den
-            children.append((a, (new_num, new_den, not odd)))
-        pending = [child for _, child in children if child not in memo]
+        # (child, term, sign of the child's sums): the ceiling's child is
+        # reflected twice, the floor's once, and the floor needs q >= 2
+        children = [((d, d - rem), q + 1, 1)] + ([((d, rem), q, -1)] if q >= 2 else [])
+        pending = [child for child, _, _ in children if child not in memo]
         if pending:
             stack.extend(pending)
             continue
         stack.pop()
         dist: dict[int, int] = {}
-        for a, child in children:
-            step, w = _sign_step(a, odd), abs(a) - 1
-            for total, child_weight in memo[child].items():
-                dist[total + step] = dist.get(total + step, 0) + child_weight * w
-        memo[state] = dist
+        for child, a, sign in children:  # every term a is positive at an odd position
+            for total, w in memo[child].items():
+                dist[1 + sign * total] = dist.get(1 + sign * total, 0) + w * (a - 1)
+        memo[key] = dist
 
     longitude = sum(_sign_step(e, j % 2 == 1) for j, e in enumerate(entries, start=1))
     totals: dict[int, int] = {}
-    for root in roots:
-        for total, w in memo[root].items():
-            slope = 2 * (total - longitude)
+    for root, sign in zip(roots, (1, -1)):
+        for total, w in memo.pop(root).items():
+            slope = 2 * (sign * total - longitude)
             totals[slope] = totals.get(slope, 0) + w
     if sum(totals.values()) != s.alpha:
         raise InternalError(f"slope weights of {s} sum to {sum(totals.values())}, not alpha")

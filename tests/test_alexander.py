@@ -12,6 +12,7 @@ from twobridge import (
     SeifertMatrix,
     SingularError,
     alexander_poly,
+    alexander_second_derivative,
     conway_even_form,
     genus3_closed_form,
     knot_determinant,
@@ -245,6 +246,31 @@ class TestSecondDerivative:
                 expected = second_derivative_at_one(d)
                 assert taylor_second(d) == expected
                 assert dual_eval(d) == expected
+
+
+class TestSecondDerivativeRecurrence:
+    def test_matches_the_polynomial(self):
+        # the mod-z^3 Conway recurrence against Delta''(1) read off the
+        # whole polynomial, on every even form with alpha < 200
+        for alpha in range(3, 200, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                m = seifert_from_conway(conway_even_form(SchubertForm(alpha, beta)))
+                assert alexander_second_derivative(m) == second_derivative_at_one(
+                    alexander_poly(m)
+                ), (alpha, beta)
+
+    def test_pinned(self):
+        assert alexander_second_derivative(SeifertMatrix((1, 1))) == 2  # trefoil
+        assert alexander_second_derivative(SeifertMatrix((1, -1))) == -2  # figure eight
+        for x in range(1, 6):
+            m = seifert_from_conway(conway_even_form(kx_family(x)))
+            assert alexander_second_derivative(m) == 0
+
+    def test_invalid_matrix(self):
+        with pytest.raises(NormalizationError):
+            alexander_second_derivative(_bare_matrix((1, 1, 1)))
 
 
 class TestKxClosedForm:

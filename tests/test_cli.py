@@ -223,10 +223,25 @@ class TestObstruct:
         def no_census(_n):
             raise AssertionError("census ran before the filter was checked")
 
-        monkeypatch.setattr(cli, "census", no_census)
+        monkeypatch.setattr(cli, "_unsorted_census", no_census)
         argv = ["obstruct", "--census", "9", "--filter", "sigma=0", "--filter", bad]
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_filter_without_census_exits_2(self, capsys):
+        assert run(["obstruct", "9_27", "--filter", "nonsense=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --filter needs --census\n"
+
+    def test_filters_do_not_leak_between_runs(self, capsys):
+        sl2c = "verdict=NoHomologySphereCosmetic_SL2C"
+        for filters, count in (([sl2c], 1), (["sigma=0"], 13), ([], 50), ([sl2c], 1)):
+            argv = ["obstruct", "--census", "9", "--jsonl"]
+            for f in filters:
+                argv += ["--filter", f]
+            assert run(argv) == 0
+            assert len(capsys.readouterr().out.splitlines()) == count, filters
 
     def test_filter_fields_are_the_report_keys(self):
         import twobridge.cli as cli

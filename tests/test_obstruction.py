@@ -18,6 +18,7 @@ from twobridge import (
     niwu_candidate_slopes,
     obstruct,
 )
+from twobridge import slopes
 from twobridge.obstruction import _class_representatives, class_key
 from dense_oracles import scan_census_classes
 
@@ -194,10 +195,26 @@ class TestCensus:
         # (alpha, beta) up to Fib(N+1)
         scanned = scan_census_classes(13)
         for n in range(3, 14):
-            forms = _class_representatives(n)
+            forms = list(_class_representatives(n))
             got = {(f.alpha, class_key(f.alpha, f.beta), crossing_number(f)) for f in forms}
             assert len(got) == len(forms)
             assert got == {c for c in scanned if c[2] <= n}
+
+    def test_shared_memo_matches_a_fresh_memo_per_knot(self):
+        # census shares one slope memo across its knots; obstruct starts
+        # from an empty one
+        for n in range(3, 14):
+            fresh = sorted(
+                (obstruct(f) for f in _class_representatives(n)),
+                key=lambda r: (r.knot.alpha, r.knot.beta),
+            )
+            assert census(n) == fresh, n
+
+    def test_memo_eviction_keeps_the_census(self, monkeypatch):
+        monkeypatch.setattr(slopes, "MEMO_CAP", 10**9)
+        uncapped = census(10)
+        monkeypatch.setattr(slopes, "MEMO_CAP", 3)
+        assert census(10) == uncapped
 
     def test_census_validation(self):
         with pytest.raises(DomainError):
