@@ -17,10 +17,14 @@ The difference lambda(K(1/q)) - lambda(K(-1/q)) collapses to the
 q-independent quantity (sum_{N<0} W - sum_{N>0} W) / 2, which is the
 obstruction driving the homology-sphere cosmetic surgery verdicts.
 
-The root-of-unity condition is decided by exact division of the
-Alexander polynomial by the few cyclotomic polynomials Phi_d with d | p'
-and phi(d) at most its degree, so its cost depends on the degree and
-not on p.
+The root-of-unity condition needs the Alexander polynomial only
+sometimes.  A root of unity of prime-power order r^k is never a root of
+Delta (Fox): Phi_(r^k)(1) = r while Delta(1) = 1.  Any other order d
+that can divide Delta has phi(d) <= deg Delta = 2g, so its primes are at
+most 2g + 1.  Trial division of p' by those primes lists the few
+candidate orders; Delta is built only when one exists and is then
+divided exactly by each candidate Phi_d.  The cost depends on the genus
+and not on p.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alexander import (
-    LaurentPolynomial,
+    SeifertMatrix,
     alexander_poly,
     conway_even_form,
     seifert_from_conway,
@@ -106,49 +110,61 @@ def total_seminorm(sys: SlopeData, r: SurgerySlope) -> Fraction:
     return Fraction(-abs(r.p) + total, 2)
 
 
-def root_of_unity_check(delta: LaurentPolynomial, p_prime: int) -> bool:
-    """True iff no p'-th root of unity is a root of the Alexander polynomial.
+def root_of_unity_check(M: SeifertMatrix, p_prime: int) -> bool:
+    """True iff no p'-th root of unity is a root of the Alexander
+    polynomial of the knot with Seifert matrix M.
 
     A p'-th root of unity of order d is a root exactly when the
     cyclotomic polynomial Phi_d divides the integer polynomial
-    f = t^g * delta, which needs phi(d) <= deg f.  Since
-    phi(d) >= sqrt(d / 2), only divisors d <= 2 * (deg f)^2 of p' can
-    qualify, so the work is bounded by the degree of f and does not grow
-    with p'.  Each candidate is decided by exact division by the monic
-    Phi_d over the integers.
+    f = t^g * Delta.  Only the orders `_candidate_orders` lists can do
+    that, so when there are none the polynomial is never built; otherwise
+    the candidates are tried in increasing phi(d) by exact division by
+    the monic Phi_d over the integers, stopping at the first that
+    divides.
     """
     if p_prime < 1:
         raise DomainError(f"p' must be >= 1, got {p_prime}")
-    if delta.is_zero():
-        return False
-    exps = delta.exponents()
-    f = [delta.coefficient(k) for k in range(exps[0], exps[-1] + 1)]
-    degree = len(f) - 1
-    for d in range(1, min(p_prime, 2 * degree * degree) + 1):
-        if p_prime % d:
-            continue
-        primes = _prime_factors(d)
-        totient = d
-        for p in primes:
-            totient = totient // p * (p - 1)
-        if totient <= degree and _divides(_cyclotomic(d, primes), f):
-            return False
-    return True
+    orders = _candidate_orders(p_prime, 2 * M.genus)
+    if not orders:
+        return True
+    delta = alexander_poly(M)
+    f = [delta.coefficient(k) for k in range(-M.genus, M.genus + 1)]
+    return not any(_divides(_cyclotomic(d, primes), f) for d, primes in orders)
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+def _candidate_orders(p_prime: int, degree: int) -> list[tuple[int, list[int]]]:
+    """(d, distinct primes of d) for the divisors d of p' that are not
+    prime powers (1 counts as one) and have phi(d) <= degree, in
+    increasing (phi(d), d).
+
+    Every prime r of such a d has r - 1 | phi(d), so r <= degree + 1:
+    trial division of p' by 2..degree + 1 finds all of them, and the
+    divisors are grown from those prime powers while phi stays within
+    the degree.
+    """
+    powers = []  # (r, largest exponent of r in p') for the small primes r of p'
+    n = p_prime
+    for r in range(2, degree + 2):
+        if n == 1:
+            break
+        if n % r == 0:
+            e = 0
+            while n % r == 0:
+                n //= r
+                e += 1
+            powers.append((r, e))
+    divisors = [(1, 1, [])]  # (phi(d), d, distinct primes of d)
+    for r, e in powers:
+        grown = []
+        for phi, d, primes in divisors:
+            phi, d = phi * (r - 1), d * r
+            for _ in range(e):
+                if phi > degree:
+                    break
+                grown.append((phi, d, primes + [r]))
+                phi, d = phi * r, d * r
+        divisors += grown
+    return [(d, primes) for _phi, d, primes in sorted(divisors) if len(primes) >= 2]
 
 
 def _cyclotomic(d: int, primes: list[int]) -> list[int]:
@@ -219,8 +235,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
         caveats.append("longitudinal slope p = 0: the root-of-unity condition degenerates")
     else:
         p_prime = abs(r.p) if r.p % 2 else abs(r.p) // 2
-        delta = alexander_poly(seifert_from_conway(conway))
-        if not root_of_unity_check(delta, p_prime):
+        if not root_of_unity_check(seifert_from_conway(conway), p_prime):
             ok = False
             caveats.append(
                 f"a {p_prime}-th root of unity is a root of the Alexander polynomial"

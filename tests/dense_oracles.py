@@ -8,7 +8,10 @@ only so the tests can compare the two: the full Seifert matrix built
 entry by entry from its definition, fraction-free (Bareiss) elimination
 over integer polynomials, symmetric congruence diagonalization over the
 rationals, and the Sylvester resultant.  They work on any square matrix,
-with no use of the tridiagonal shape.  The census scan tests every
+with no use of the tridiagonal shape.  Two earlier forms of the fast
+routes stay as well: the minor recurrence over every coefficient of each
+minor, and the root-of-unity check that takes the polynomial and walks
+every divisor of p' up to a degree bound.  The census scan tests every
 (alpha, beta) up to a Fibonacci bound, where the package walks simple
 continued fraction tails.
 """
@@ -18,7 +21,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from twobridge import InternalError, LaurentPolynomial, SchubertForm, SingularError, crossing_number
+from twobridge import (
+    DomainError,
+    InternalError,
+    LaurentPolynomial,
+    SchubertForm,
+    SingularError,
+    crossing_number,
+)
+from twobridge.casson import _cyclotomic, _divides
 from twobridge.obstruction import class_key
 
 # -- dense integer-polynomial helpers (little-endian coefficient lists) --
@@ -187,6 +198,60 @@ def dense_alexander(entries) -> LaurentPolynomial:
     at_one = sum(det)
     assert abs(at_one) == 1, det
     return LaurentPolynomial({k - n // 2: at_one * c for k, c in enumerate(det)})
+
+
+def full_recurrence_alexander(diagonal) -> LaurentPolynomial:
+    """det(M - t M^T) by D_k = a_k (1 - t) D_(k-1) + t D_(k-2) over every
+    coefficient of each minor, scaled to value 1 at t = 1 and centred."""
+    prev, cur = [], [1]
+    for a in diagonal:
+        nxt = [a * (x - y) + z for x, y, z in zip(cur + [0], [0] + cur, [0] + prev + [0])]
+        prev, cur = cur, nxt
+    at_one = sum(cur)
+    assert abs(at_one) == 1, cur
+    return LaurentPolynomial({k - len(diagonal) // 2: at_one * c for k, c in enumerate(cur)})
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def polynomial_root_of_unity_check(delta: LaurentPolynomial, p_prime: int) -> bool:
+    """True iff no p'-th root of unity is a root of delta, by walking every
+    divisor d of p' that the degree allows.
+
+    Phi_d can divide f = t^g * delta only if phi(d) <= deg f, and
+    phi(d) >= sqrt(d / 2), so the divisors d <= 2 * (deg f)^2 of p' are
+    tried, each by exact division by Phi_d.
+    """
+    if p_prime < 1:
+        raise DomainError(f"p' must be >= 1, got {p_prime}")
+    if delta.is_zero():
+        return False
+    exps = delta.exponents()
+    f = [delta.coefficient(k) for k in range(exps[0], exps[-1] + 1)]
+    degree = len(f) - 1
+    for d in range(1, min(p_prime, 2 * degree * degree) + 1):
+        if p_prime % d:
+            continue
+        primes = _prime_factors(d)
+        totient = d
+        for p in primes:
+            totient = totient // p * (p - 1)
+        if totient <= degree and _divides(_cyclotomic(d, primes), f):
+            return False
+    return True
 
 
 def dense_signature(entries) -> int:

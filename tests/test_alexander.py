@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twobridge import (
+    MAX_GENUS,
     ConwayForm,
     DomainError,
     LaurentPolynomial,
@@ -26,6 +27,7 @@ from dense_oracles import (
     dense_alexander,
     dense_seifert,
     dense_signature,
+    full_recurrence_alexander,
     int_det,
     symmetric_signature,
 )
@@ -149,6 +151,20 @@ class TestAlexanderPoly:
         with pytest.raises(NormalizationError):
             alexander_poly(_bare_matrix((1, 1, 1)))
 
+    def test_half_recurrence_matches_full_recurrence(self):
+        # the half-minor recurrence against the recurrence over every
+        # coefficient, on every even form with alpha < 200, plus long
+        # alternating and mixed diagonals
+        for alpha in range(3, 200, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                m = seifert_from_conway(conway_even_form(SchubertForm(alpha, beta)))
+                assert alexander_poly(m) == full_recurrence_alexander(m.diagonal), (alpha, beta)
+        for diagonal in [(1, 1) * 40, (3, -7, 2, 5, -1, 9) * 7, (1, -1) * 33]:
+            m = SeifertMatrix(diagonal)
+            assert alexander_poly(m) == full_recurrence_alexander(diagonal), diagonal
+
 
 class TestConwayEvenForm:
     def test_pinned(self):
@@ -165,6 +181,13 @@ class TestConwayEvenForm:
     def test_requires_even_beta(self):
         with pytest.raises(DomainError):
             conway_even_form(SchubertForm(49, 19))
+
+    def test_genus_limit(self):
+        # S(2g+1, 2g) has genus g: the limit itself passes, one more band fails
+        g = MAX_GENUS
+        assert conway_even_form(SchubertForm(2 * g + 1, 2 * g)).genus == MAX_GENUS
+        with pytest.raises(DomainError, match=f"genus is limited to {MAX_GENUS}"):
+            conway_even_form(SchubertForm(2 * g + 3, 2 * g + 2))
 
     def test_round_trips_through_cf_value(self):
         from twobridge import ContinuedFraction, cf_eval

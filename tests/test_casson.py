@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 from twobridge import (
     BoundarySlopeRecord,
     ContinuedFraction,
+    ConwayForm,
     DomainError,
     LaurentPolynomial,
     MeridianError,
     SchubertForm,
+    SeifertMatrix,
     SlopeSystem,
     SurgerySlope,
     alexander_poly,
@@ -24,7 +27,8 @@ from twobridge import (
     slope_distance,
     total_seminorm,
 )
-from dense_oracles import sylvester_resultant
+from twobridge.casson import _candidate_orders
+from dense_oracles import polynomial_root_of_unity_check, sylvester_resultant
 
 
 def _synthetic_system(slope_weights):
@@ -213,21 +217,24 @@ class TestCosmeticDifference:
 
 class TestRootOfUnityCheck:
     def test_first_root_never_hits_normalized_delta(self):
-        delta = LaurentPolynomial({-3: -1, -2: 5, -1: -11, 0: 15, 1: -11, 2: 5, 3: -1})
-        assert root_of_unity_check(delta, 1)
+        m = seifert_from_conway(ConwayForm((2, 2, -2, 2, 2, -2)))
+        assert alexander_poly(m) == LaurentPolynomial(
+            {-3: -1, -2: 5, -1: -11, 0: 15, 1: -11, 2: 5, 3: -1}
+        )
+        assert root_of_unity_check(m, 1)
 
     def test_trefoil_sixth_roots(self):
-        delta = LaurentPolynomial({-1: 1, 0: -1, 1: 1})
-        assert not root_of_unity_check(delta, 6)
-        assert root_of_unity_check(delta, 5)
+        m = SeifertMatrix((1, 1))  # delta = t^-1 - 1 + t
+        assert not root_of_unity_check(m, 6)
+        assert root_of_unity_check(m, 5)
 
     def test_figure_eight_second_roots(self):
-        delta = LaurentPolynomial({-1: -1, 0: 3, 1: -1})
-        assert root_of_unity_check(delta, 2)
+        m = SeifertMatrix((1, -1))  # delta = -t^-1 + 3 - t
+        assert root_of_unity_check(m, 2)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            root_of_unity_check(LaurentPolynomial({0: 1}), 0)
+            root_of_unity_check(SeifertMatrix((1, 1)), 0)
 
     def test_matches_rational_gcd_oracle(self):
         # independent oracle: Euclidean gcd over the rationals
@@ -255,21 +262,35 @@ class TestRootOfUnityCheck:
                 a.pop()
             return len(a) == 1
 
-        # every distinct Alexander polynomial of a knot with alpha < 60
-        for delta in _distinct_deltas(60):
+        # one knot for every distinct Alexander polynomial with alpha < 60
+        for m, delta in _distinct_deltas(60):
             f = _coefficients(delta)
             for p_prime in range(1, 25):
                 g = [-1] + [0] * (p_prime - 1) + [1]
-                assert root_of_unity_check(delta, p_prime) == gcd_is_unit(f, g), (delta, p_prime)
+                assert root_of_unity_check(m, p_prime) == gcd_is_unit(f, g), (delta, p_prime)
 
     def test_matches_sylvester_resultant_oracle(self):
         # the resultant of t^g delta and t^p' - 1 vanishes exactly when they
         # share a root
-        for delta in _distinct_deltas(20):
+        for m, delta in _distinct_deltas(20):
             f = _coefficients(delta)
             for p_prime in range(1, 13):
                 g = [-1] + [0] * (p_prime - 1) + [1]
-                assert root_of_unity_check(delta, p_prime) == (sylvester_resultant(f, g) != 0)
+                assert root_of_unity_check(m, p_prime) == (sylvester_resultant(f, g) != 0)
+
+    def test_matches_polynomial_reference(self):
+        # the divisor walk over the whole polynomial, on every even form
+        # with alpha < 60 and every p' <= 60
+        for alpha in range(3, 60, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                m = seifert_from_conway(conway_even_form(SchubertForm(alpha, beta)))
+                delta = alexander_poly(m)
+                for p_prime in range(1, 61):
+                    assert root_of_unity_check(m, p_prime) == polynomial_root_of_unity_check(
+                        delta, p_prime
+                    ), (alpha, beta, p_prime)
 
     def test_torus_knot_closed_form(self):
         # T(2,n) = S(n, n-1), n odd, has delta = sum_{k<n} (-t)^k up to a
@@ -282,21 +303,57 @@ class TestRootOfUnityCheck:
             assert alexander_poly(m) == delta, n
             for p_prime in [*range(1, 2 * n + 3), 999999, 1000002, 2 * n * 1000003]:
                 expected = not (p_prime % 2 == 0 and math.gcd(n, p_prime // 2) > 1)
-                assert root_of_unity_check(delta, p_prime) == expected, (n, p_prime)
+                assert root_of_unity_check(m, p_prime) == expected, (n, p_prime)
 
     def test_constant_polynomial_has_no_roots(self):
-        assert root_of_unity_check(LaurentPolynomial({0: 1}), 1000001)
-        assert not root_of_unity_check(LaurentPolynomial(), 3)
+        # no knot has a constant Delta, so only the polynomial reference sees one
+        assert polynomial_root_of_unity_check(LaurentPolynomial({0: 1}), 1000001)
+        assert not polynomial_root_of_unity_check(LaurentPolynomial(), 3)
+
+    @pytest.mark.parametrize("degree", [2, 4, 10, 40])
+    def test_candidate_orders_match_brute_force(self, degree):
+        # the divisors of p' that are not prime powers (1 counts as one) with
+        # phi(d) <= degree, in increasing phi(d)
+        phi, prime_count = _brute_totients_and_prime_counts(2000)
+        orders = [d for d in range(1, 2001) if prime_count[d] >= 2 and phi[d] <= degree]
+        for p_prime in range(1, 2001):
+            brute = sorted((d for d in orders if p_prime % d == 0), key=lambda d: (phi[d], d))
+            assert [d for d, _primes in _candidate_orders(p_prime, degree)] == brute, (p_prime, degree)
+
+    @pytest.mark.parametrize("p_prime", [1, 2, 9, 1024, 1000000007])
+    def test_no_candidate_order_builds_no_polynomial(self, monkeypatch, p_prime):
+        # 1, prime powers and large primes leave no order that can divide
+        # Delta, so the check answers without the O(g^2) polynomial
+        import twobridge.casson as casson
+
+        def no_polynomial(_m):
+            raise AssertionError("the Alexander polynomial was built")
+
+        m = seifert_from_conway(conway_even_form(SchubertForm(801, 800)))
+        monkeypatch.setattr(casson, "alexander_poly", no_polynomial)
+        assert root_of_unity_check(m, p_prime)
+
+
+@functools.cache
+def _brute_totients_and_prime_counts(limit):
+    """phi(d) by counting the k <= d coprime to d, and the number of
+    distinct primes of d by testing every r <= d, for d = 1..limit."""
+    phi = {d: sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1) for d in range(1, limit + 1)}
+    is_prime = {r: phi[r] == r - 1 for r in range(2, limit + 1)}
+    prime_count = {d: sum(1 for r in range(2, d + 1) if d % r == 0 and is_prime[r])
+                   for d in range(1, limit + 1)}
+    return phi, prime_count
 
 
 def _distinct_deltas(alpha_max):
-    deltas = set()
+    """(Seifert matrix, Delta) for one knot of each distinct Delta."""
+    by_delta = {}
     for alpha in range(3, alpha_max, 2):
         for beta in range(2, alpha, 2):
             if math.gcd(alpha, beta) == 1:
-                c = conway_even_form(SchubertForm(alpha, beta))
-                deltas.add(alexander_poly(seifert_from_conway(c)))
-    return sorted(deltas, key=lambda d: d.items())
+                m = seifert_from_conway(conway_even_form(SchubertForm(alpha, beta)))
+                by_delta.setdefault(alexander_poly(m), m)
+    return sorted(((m, d) for d, m in by_delta.items()), key=lambda pair: pair[1].items())
 
 
 def _coefficients(delta):

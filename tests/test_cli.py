@@ -1,8 +1,17 @@
+import hashlib
 import json
+import time
 
 import pytest
 
-from twobridge import CENSUS_MAX_CROSSINGS, Equivalence, NormalizationError, SchubertForm, equivalent
+from twobridge import (
+    CENSUS_MAX_CROSSINGS,
+    MAX_GENUS,
+    Equivalence,
+    NormalizationError,
+    SchubertForm,
+    equivalent,
+)
 from twobridge.cli import parse_knot_spec, run
 
 
@@ -138,6 +147,56 @@ class TestAlexander:
         doc = _json_out(capsys, ["alexander", "4_1", "--json"])
         assert doc["payload"]["alexander_str"] == "-t^-1+3-t"
         assert doc["payload"]["signature"] == 0
+
+
+class TestGoldenDigests:
+    # sha256 of stdout, recorded before the half-minor Alexander recurrence
+    # and the candidate-order root-of-unity check replaced the full
+    # recurrence and the divisor walk; at 12/1 Phi_6 divides the
+    # trefoil's Delta, so hypotheses_ok is false there
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["alexander", "S(801,800)", "--json"],
+             "ffe05cb027443e3bccad3db03ae0a2708484de256b1988dff35e5c344b61539a"),
+            (["alexander", "S(6716940831,6656438750)", "--json"],
+             "2dc4fdcc25abbd02e44a0b85d2d7b9790698df39ddf2091c817bc5c891a206e0"),
+            (["casson", "3_1", "12/1", "--json"],
+             "5b74b359c18576440bf3229677c9ff3f6b4a9860d0e55108b07ba0136b207461"),
+            (["casson", "3_1", "30/1", "--json"],
+             "8d700172eb7aeb1e0d286477b3e827d367c33db3a219b33db4d3362194b8744f"),
+            (["casson", "3_1", "105/1", "--json"],
+             "4dcfb26df1967160c888c85733fbf1f1548846c459cbfa183e9afda5b00dbc66"),
+            (["casson", "3_1", "0/1", "--json"],
+             "523412c956819a8e2fdda3ed78c19198c499ad1b4ed0d99e6712dd310311b5dc"),
+            (["casson", "3_1", "-7/2", "--json"],
+             "ba625ecd076503d517409af33008c5118bf25fbf3f1c69c91405ce10f7840c87"),
+            (["casson", "9_27", "12/1", "--json"],
+             "88c43b6e00fc07e677b94b69e52b0f0e8ebc11b8878c8558c094c7dad8685423"),
+            (["casson", "9_27", "30/1", "--json"],
+             "4f258ec91d0212e1a9d0f9a5cba2d3088b4527a73a7ec857ff63f5bf3e3c3dcd"),
+            (["casson", "9_27", "105/1", "--json"],
+             "70ae7d5f0d8682101aa7714bc2dd4691031618e37464b2bd040c360dcc514ed2"),
+            (["casson", "9_27", "0/1", "--json"],
+             "16ddf5ba0bf80a1375efb0af5fb465f060dd8b7f4e8279a8cf51c85c589c3da6"),
+            (["casson", "9_27", "-7/2", "--json"],
+             "7e8e04153134933fff5d7a86f412ce19b0d29f131d499b749e37c42986b593ac"),
+            (["casson", "--kx", "3", "12/1", "--json"],
+             "77cca26eb9086a8f10a75bc3d424db431a8258782462f1f804b8837bb741bea8"),
+            (["casson", "--kx", "3", "30/1", "--json"],
+             "14386d8066d8517dd1b1ad27bf8fee8814bef0ed579b7476dbfedf9d92d985a5"),
+            (["casson", "--kx", "3", "105/1", "--json"],
+             "3b6aead4638c7881a7b62320041bed040903d1a86fbc578c9c8ce1e69d62c4e5"),
+            (["casson", "--kx", "3", "0/1", "--json"],
+             "7a3f16d81607f47099e3b57910746793ccf51e3fcd8376403ae17715c53fab67"),
+            (["casson", "--kx", "3", "-7/2", "--json"],
+             "b5ad5b38ed4540563808fcf4c785f6c50723d8ae4fa994200e0961604b3f121d"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCasson:
@@ -318,6 +377,22 @@ class TestDeterminism:
         # int() refuses strings past the interpreter's digit limit
         assert run(["info", "S(" + "1" * 5000 + ",2)"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestGenusLimit:
+    # S(2g+1, 2g) has genus g; with a 4,000-digit g the even Conway walk
+    # would never end, so every command that takes it stops at MAX_GENUS
+    @pytest.mark.parametrize("command", [["info"], ["alexander"], ["obstruct"], ["casson", "1/1"]])
+    def test_over_limit_exits_2_at_once(self, capsys, command):
+        g = 10**3999 + 7
+        start = time.perf_counter()
+        assert run([command[0], f"S({2 * g + 1},{2 * g})", *command[1:]]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: genus is limited to {MAX_GENUS}; this knot's genus is larger\n"
+        )
 
 
 class TestExitCodes:
