@@ -83,8 +83,7 @@ def _rat(x) -> int | str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _knot_payload(s: SchubertForm) -> dict:
-    canonical, mirrored = preferred_form(s)
+def _knot_payload(canonical: SchubertForm, mirrored: bool) -> dict:
     return {
         "schubert": {"alpha": canonical.alpha, "beta": canonical.beta},
         "mirrored": mirrored,
@@ -135,7 +134,7 @@ def _cmd_info(args) -> int:
     s = _resolve_knot(args)
     canonical, mirrored = preferred_form(s)
     conway = conway_even_form(canonical)
-    payload = _knot_payload(s)
+    payload = _knot_payload(canonical, mirrored)
     payload.update(
         {
             "crossing_number": crossing_number(canonical),
@@ -162,9 +161,9 @@ def _cmd_info(args) -> int:
 
 def _cmd_slopes(args) -> int:
     s = _resolve_knot(args)
-    canonical, _ = preferred_form(s)
+    canonical, mirrored = preferred_form(s)
     system = enumerate_bscf(canonical)
-    payload = _knot_payload(s)
+    payload = _knot_payload(canonical, mirrored)
     payload.update(
         {
             "records": [
@@ -196,10 +195,10 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_alexander(args) -> int:
     s = _resolve_knot(args)
-    canonical, _ = preferred_form(s)
+    canonical, mirrored = preferred_form(s)
     matrix = seifert_from_conway(conway_even_form(canonical))
     delta = alexander_poly(matrix)
-    payload = _knot_payload(s)
+    payload = _knot_payload(canonical, mirrored)
     payload.update(
         {
             "alexander": {str(k): c for k, c in delta.items()},
@@ -228,7 +227,7 @@ def _cmd_casson(args) -> int:
     r = SurgerySlope.parse(args.slope)
     lam = lambda_surgery(s, r)  # rejects the meridian before anything else
     canonical, mirrored = preferred_form(s)
-    payload = _knot_payload(s)
+    payload = _knot_payload(canonical, mirrored)
     payload.update(
         {
             "slope": str(r),

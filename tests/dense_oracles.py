@@ -1,5 +1,5 @@
 """Dense reference routes for the Alexander layer, the root-of-unity
-check and the census.
+check, the census and the boundary-slope listing.
 
 The package computes the Alexander polynomial, the signature and the
 root-of-unity condition by recurrences over the diagonal of the Seifert
@@ -13,7 +13,9 @@ routes stay as well: the minor recurrence over every coefficient of each
 minor, and the root-of-unity check that takes the polynomial and walks
 every divisor of p' up to a degree bound.  The census scan tests every
 (alpha, beta) up to a Fibonacci bound, where the package walks simple
-continued fraction tails.
+continued fraction tails.  The expansion search on signed residuals,
+with its own floor/ceiling candidates and |a| >= 2 filters, lists what
+the package lists by the parity- and sign-folded step of its weight walk.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from twobridge import (
     SchubertForm,
     SingularError,
     crossing_number,
+    simple_cf,
 )
 from twobridge.casson import _cyclotomic, _divides
 from twobridge.obstruction import class_key
+from twobridge.slopes import _sort_key
 
 # -- dense integer-polynomial helpers (little-endian coefficient lists) --
 
@@ -279,3 +283,49 @@ def scan_census_classes(max_crossings: int) -> set[tuple[int, int, int]]:
             if c <= max_crossings:
                 classes.add((alpha, beta, c))
     return classes
+
+
+def _expansions(target_num: int, target_den: int, first: int,
+                out: list[tuple[int, ...]], depth_limit: int) -> None:
+    """DFS over expansions of target = num/den with all terms |a| >= 2.
+
+    At each node the next term a must satisfy |target - a| < 1 (so that
+    the rest, whose value always exceeds 1 in absolute value, can supply
+    the reciprocal), which leaves floor and ceiling as the only
+    candidates; an exact integer target terminates the branch.  The
+    denominator of the target strictly decreases, so the search ends.
+    Iterative with an explicit stack: expansions of large knots can run
+    to thousands of terms.
+    """
+    stack = [((first,), target_num, target_den)]
+    while stack:
+        prefix, num, den = stack.pop()
+        if len(prefix) > depth_limit:
+            raise InternalError("expansion depth exceeded the term-sum bound")
+        q, rem = divmod(num, den)
+        if rem == 0:
+            if abs(q) >= 2:
+                out.append(prefix + (q,))
+            continue
+        for a in (q, q + 1):  # floor and ceiling
+            if abs(a) < 2:
+                continue
+            new_num, new_den = den, num - a * den
+            if new_den < 0:
+                new_num, new_den = -new_num, -new_den
+            stack.append((prefix + (a,), new_num, new_den))
+
+
+def reference_expansions(s: SchubertForm) -> list[tuple[int, ...]]:
+    """The term lists of every boundary-slope expansion of a canonical
+    (even-beta) form, in the order enumerate_bscf lists them."""
+    depth_limit = sum(simple_cf(s.fraction).tail) + 2
+    term_lists: list[tuple[int, ...]] = []
+    for c in (0, 1):
+        # residual target 1/(beta/alpha - c)
+        num, den = s.alpha, s.beta - c * s.alpha
+        if den < 0:
+            num, den = -num, -den
+        _expansions(num, den, c, term_lists, depth_limit)
+    term_lists.sort(key=_sort_key)
+    return term_lists

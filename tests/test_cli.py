@@ -6,6 +6,7 @@ import pytest
 
 from twobridge import (
     CENSUS_MAX_CROSSINGS,
+    MAX_EXPANSION_TERMS,
     MAX_GENUS,
     Equivalence,
     NormalizationError,
@@ -191,6 +192,31 @@ class TestGoldenDigests:
              "7a3f16d81607f47099e3b57910746793ccf51e3fcd8376403ae17715c53fab67"),
             (["casson", "--kx", "3", "-7/2", "--json"],
              "b5ad5b38ed4540563808fcf4c785f6c50723d8ae4fa994200e0961604b3f121d"),
+            # recorded before the listing walked the folded step of the
+            # weight walk; S(9227465,3524578) is [0,2,1^30,2], 13,581
+            # expansions
+            (["slopes", "9_27", "--json"],
+             "5fe86eec799e3426c791de2ea8531965cb244a50b15f8bd76db674ddce02e888"),
+            (["slopes", "9_27"],
+             "fa5ba62c861df71d2c14222164a553d0ea8593817372f316fe180fe67bbe9aa0"),
+            (["slopes", "--kx", "1", "--json"],
+             "b0189517661bda3562e5a65cbdd10730b6bfa0201ab9606267ee8d14d76ca1ae"),
+            (["slopes", "--kx", "1"],
+             "fa5ba62c861df71d2c14222164a553d0ea8593817372f316fe180fe67bbe9aa0"),
+            (["slopes", "--kx", "2", "--json"],
+             "5899901adbd52873244e70cab7a95eac1aae9ed7500d54b11c224fea60b3f122"),
+            (["slopes", "--kx", "2"],
+             "8c4e64668b7b60f6dcd6f2e8c068907d360c5c80f07ab56fe0e3cfc50d9557bd"),
+            (["slopes", "--kx", "3", "--json"],
+             "84fcdf5459d023c0a804664d3458fe05dca55cbd24a45b2f63d04600dc2653dc"),
+            (["slopes", "--kx", "3"],
+             "8f8baaec389705fd0c0bb76ced4a76775eedf1dcecb06a4fec8381f74034e5e8"),
+            (["slopes", "S(4001,4000)", "--json"],
+             "e70b21e72fdf7900a65d3037b06beebc16ed2b121a5669c258c02a7700d69b4f"),
+            (["slopes", "S(4001,4000)"],
+             "261c6cc686df8ffea5793a97d30f423dbc23bc3e607d5aa7ec884ed9fa659885"),
+            (["slopes", "S(9227465,3524578)", "--json"],
+             "022202de10417d156f6d946bcb5676057d201eec3176ab8e18e7c4057d3aaefd"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -393,6 +419,37 @@ class TestGenusLimit:
         assert captured.err == (
             f"error: genus is limited to {MAX_GENUS}; this knot's genus is larger\n"
         )
+
+
+class TestExpansionLimit:
+    # the expansions' length times their number bounds the listing: 49 and
+    # 120 crossings of small terms have too many, a 4,000-digit S(n+1,n)
+    # one too long
+    @pytest.mark.parametrize(
+        "spec",
+        ["S(12586269025,4807526976)",
+         "S(521279077717945120069,157830605192396834313)",
+         f"S({2 * 10**3999 + 15},{2 * 10**3999 + 14})"],
+        ids=["49_crossings", "120_crossings", "4000_digits"],
+    )
+    def test_over_limit_exits_2_at_once(self, capsys, spec):
+        start = time.perf_counter()
+        assert run(["slopes", spec, "--json"]) == 2
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: boundary-slope expansions are limited to {MAX_EXPANSION_TERMS}"
+            " terms in total; this knot's have more\n"
+        )
+
+    def test_long_expansion_lists_at_once(self, capsys):
+        # 100000/100001 has an expansion of 100,001 terms; the listing
+        # costs what it prints
+        start = time.perf_counter()
+        doc = _json_out(capsys, ["slopes", "S(100001,100000)", "--json"])
+        assert time.perf_counter() - start < 5
+        assert max(len(r["cf"]) for r in doc["payload"]["records"]) == 100001
 
 
 class TestExitCodes:

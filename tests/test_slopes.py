@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import twobridge.slopes as slopes
+from dense_oracles import reference_expansions
 from twobridge import (
     ContinuedFraction,
     DomainError,
+    InternalError,
     SchubertForm,
     apply_substitutions,
     cf_eval,
@@ -149,6 +152,37 @@ class TestEnumerate:
         for x in range(1, 6):
             s = kx_family(x)
             assert sum(r.weight for r in enumerate_bscf(s).records) == s.alpha
+
+    def test_matches_reference_lister(self):
+        # the listing and the weight walk share one folded step, so the
+        # signed-residual search it replaced stays as an independent route
+        forms = [
+            SchubertForm(alpha, beta)
+            for alpha in range(3, 300, 2)
+            for beta in range(2, alpha, 2)
+            if math.gcd(alpha, beta) == 1
+        ]
+        forms += [kx_family(x) for x in range(1, 11)]
+        for s in forms:
+            assert [r.cf.terms for r in enumerate_bscf(s).records] == reference_expansions(s), s
+
+    def test_term_limit_is_exact(self, monkeypatch):
+        # 9_27's ten expansions hold 59 terms, integer parts included
+        s = SchubertForm(49, 18)
+        assert sum(len(t) for t in reference_expansions(s)) == 59
+        monkeypatch.setattr(slopes, "MAX_EXPANSION_TERMS", 59)
+        assert len(enumerate_bscf(s).records) == 10
+        monkeypatch.setattr(slopes, "MAX_EXPANSION_TERMS", 58)
+        with pytest.raises(DomainError, match="limited to 58 terms"):
+            enumerate_bscf(s)
+
+    def test_runaway_walk_is_an_internal_error(self):
+        # the term-sum bound is a fault detector: passing it is a bug
+        # (exit 3), never an input error; the longest expansion of
+        # 4000/4001 has 4,001 terms, 4,000 before its last
+        with pytest.raises(InternalError, match="term-sum bound"):
+            slopes._expansions(SchubertForm(4001, 4000), 3999)
+        assert max(map(len, slopes._expansions(SchubertForm(4001, 4000), 4000))) == 4001
 
 
 class TestSlopeWeights:
