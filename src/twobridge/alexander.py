@@ -197,31 +197,45 @@ def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     k-1 and k, one entry 1 and one entry -t, so its leading minors follow
     the three-term recurrence
         D_k = a_k (1 - t) D_(k-1) + t D_(k-2).
-    Transposing gives (M - t M^T)^T = -t (M - t^-1 M^T), so every minor
-    is (anti-)palindromic, D_k(t) = (-t)^k D_k(1/t), and the recurrence
-    runs on coefficients 0..floor(k/2) of each D_k only; the one
-    coefficient of D_(k-1) past its half that an even k needs is the
-    mirror of the last one it keeps.  That is half of the O(g^2)
-    coefficient operations of the full recurrence, and the result is
-    symmetric by construction.  The unit sign is fixed by requiring value
-    1 at t = 1; anything else signals an invalid Seifert matrix and
-    raises NormalizationError.
+    The recurrence runs once, at the integer t = T = 2^w (Kronecker
+    substitution): each step is a shift, a small multiply and two adds on
+    one Python int, so the O(g^2) coefficient work stays inside the
+    integer arithmetic, and the value is exact whatever the size of the
+    intermediate minors.  The coefficients of D_2g are read back from
+    w-bit lanes, which hold them because a two-bridge knot is alternating
+    and so is its Alexander polynomial (Crowell, Murasugi): the sum of
+    their absolute values is |Delta(-1)| = |det(M + M^T)|, the last
+    leading minor of M + M^T, and w leaves room for that and a sign bit.
+    The unit sign is fixed by requiring value 1 at t = 1; anything else
+    signals an invalid Seifert matrix and raises NormalizationError.  A
+    coefficient sum that is not the determinant means the lanes did not
+    hold the polynomial: InternalError.
     """
-    prev, cur = [], [1]  # halves of D_(-1) = 0 and D_0 = 1, constant coefficient first
-    for k, a in enumerate(M.diagonal, start=1):
-        # D_(k-1)[k/2] = -D_(k-1)[k/2 - 1] for even k
-        known = cur + [-cur[-1]] if k % 2 == 0 else cur
-        nxt = [a * (x - y) + z for x, y, z in zip(known, [0] + cur, [0] + prev)]
-        prev, cur = cur, nxt
-    n = len(M.diagonal)
-    full = cur + [(-1) ** n * c for c in reversed(cur[: n + 1 - len(cur)])]
-    if not any(full):
+    *_, det = _leading_minors(2 * a for a in M.diagonal)
+    lane = (abs(det).bit_length() + 8) // 8  # bytes per coefficient, sign bit included
+    w = 8 * lane
+    prev, cur = 0, 1  # D_(-1) and D_0 at T
+    for a in M.diagonal:
+        x = a * cur
+        prev, cur = cur, ((prev - x) << w) + x
+    if not cur:
         raise NormalizationError("det(M - t M^T) vanishes identically")
-    at_one = sum(full)
+    n = len(M.diagonal)
+    # each lane offset by 2^(w-1), so every lane of the sum is nonnegative
+    biased = cur + int.from_bytes((bytes(lane - 1) + b"\x80") * (n + 1), "little")
+    try:
+        data = biased.to_bytes(lane * (n + 1), "little")
+    except OverflowError:
+        raise InternalError(f"det(M - t M^T) does not fit {w}-bit coefficient lanes") from None
+    half = 1 << (w - 1)
+    coeffs = [int.from_bytes(data[i:i + lane], "little") - half for i in range(0, len(data), lane)]
+    at_one = sum(coeffs)
     if abs(at_one) != 1:
         raise NormalizationError(f"determinant evaluates to {at_one} at t=1, not a unit")
+    if sum(map(abs, coeffs)) != abs(det):
+        raise InternalError("Alexander coefficients do not sum in absolute value to det(M + M^T)")
     g = M.genus
-    return LaurentPolynomial({k - g: at_one * c for k, c in enumerate(full)})
+    return LaurentPolynomial({k - g: at_one * c for k, c in enumerate(coeffs)})
 
 
 def alexander_second_derivative(M: SeifertMatrix) -> int:
@@ -247,10 +261,11 @@ def alexander_second_derivative(M: SeifertMatrix) -> int:
 
 
 # Largest genus, in bands of two even Conway entries, that any command
-# walks.  `alexander` is O(g^2) coefficient operations on O(g)-bit
-# integers: on S(2g+1, 2g) it takes 0.09 s at g = 1,000, 1.5 s at 4,000,
-# 1.7 s at 5,000 and 19 s at 16,000 (x86_64, Python 3.11), so the limit
-# keeps it within a few seconds.
+# walks.  `alexander` is O(g^2 w) bit operations, w the bit length of
+# alpha: on S(2g+1, 2g) its polynomial takes 9 ms at g = 1,000, 0.10 s
+# at 4,000, 0.15 s at 5,000 and about 1.8 s at 16,000 (x86_64, Python
+# 3.11).  Exit codes are part of the interface, so the limit does not
+# follow that cost down.
 MAX_GENUS = 5000
 
 

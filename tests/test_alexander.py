@@ -7,6 +7,7 @@ from twobridge import (
     MAX_GENUS,
     ConwayForm,
     DomainError,
+    InternalError,
     LaurentPolynomial,
     NormalizationError,
     SchubertForm,
@@ -151,10 +152,10 @@ class TestAlexanderPoly:
         with pytest.raises(NormalizationError):
             alexander_poly(_bare_matrix((1, 1, 1)))
 
-    def test_half_recurrence_matches_full_recurrence(self):
-        # the half-minor recurrence against the recurrence over every
-        # coefficient, on every even form with alpha < 200, plus long
-        # alternating and mixed diagonals
+    def test_packed_evaluation_matches_full_recurrence(self):
+        # the recurrence evaluated at one packed integer against the
+        # recurrence over every coefficient, on every even form with
+        # alpha < 200, plus long alternating and mixed diagonals
         for alpha in range(3, 200, 2):
             for beta in range(2, alpha, 2):
                 if math.gcd(alpha, beta) != 1:
@@ -164,6 +165,47 @@ class TestAlexanderPoly:
         for diagonal in [(1, 1) * 40, (3, -7, 2, 5, -1, 9) * 7, (1, -1) * 33]:
             m = SeifertMatrix(diagonal)
             assert alexander_poly(m) == full_recurrence_alexander(diagonal), diagonal
+
+    def test_coefficients_alternate_and_sum_to_alpha(self):
+        # the lane width rests on this: a two-bridge knot is alternating,
+        # so the coefficients of Delta alternate in sign (Crowell,
+        # Murasugi) and their absolute values sum to |Delta(-1)| = alpha
+        for alpha in range(3, 200, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                m = seifert_from_conway(conway_even_form(SchubertForm(alpha, beta)))
+                d = alexander_poly(m)
+                c = [d.coefficient(k) for k in range(-m.genus, m.genus + 1)]
+                assert all(x * y < 0 for x, y in zip(c, c[1:])), (alpha, beta)
+                assert sum(map(abs, c)) == alpha, (alpha, beta)
+
+    def test_lane_edges_match_full_recurrence(self):
+        # alpha = 255 and 65,535 sit just below a byte boundary; the genus-1
+        # diagonals carry the largest coefficients those determinants allow
+        knots = [SchubertForm(255, beta) for beta in range(2, 255, 2) if math.gcd(255, beta) == 1]
+        knots += [SchubertForm(65535, beta) for beta in (2, 254, 302, 394, 452, 8192, 65422)]
+        matrices = [seifert_from_conway(conway_even_form(s)) for s in knots]
+        # genus 1: det(M + M^T) = 4ab - 1, and the outer coefficients are ab
+        for a, b in [(1, 64), (1, 16384), (128, 128)]:
+            assert 4 * a * b - 1 in (255, 65535)
+            matrices.append(SeifertMatrix((a, b)))
+        # long diagonals: T(2, 2001), and entries whose minors run to
+        # thousands of bits
+        matrices += [SeifertMatrix((1,) * 2000), SeifertMatrix((3, -7, 2, 5, -1, 9) * 50)]
+        for m in matrices:
+            assert alexander_poly(m) == full_recurrence_alexander(m.diagonal), m.diagonal[:6]
+
+    def test_lanes_that_miss_the_polynomial_are_an_internal_error(self, monkeypatch):
+        # a determinant too small for the coefficients: the lanes either
+        # overflow or decode to a polynomial whose coefficients do not sum
+        # to it in absolute value
+        import twobridge.alexander as alexander
+
+        monkeypatch.setattr(alexander, "_leading_minors", lambda diagonal: iter([1]))
+        for diagonal in [(1, 1, -1, 1, 1, -1), (1, 16384)]:
+            with pytest.raises(InternalError):
+                alexander_poly(SeifertMatrix(diagonal))
 
 
 class TestConwayEvenForm:

@@ -292,6 +292,25 @@ class TestRootOfUnityCheck:
                         delta, p_prime
                     ), (alpha, beta, p_prime)
 
+    def test_folded_division_at_genus_above_twenty(self):
+        # knots of genus 21 and 22, where Delta has 43 and 45 coefficients
+        # and is folded mod t^d - 1 for every candidate order d < 2g + 1;
+        # Phi_6 divides the Delta of S(207,124), and Phi_6 and Phi_10 that
+        # of T(2,45) = S(45,44), while Phi_14, Phi_15, Phi_21 and Phi_35
+        # divide neither
+        for alpha, beta, dividing in [(207, 124, {6}), (45, 44, {6, 10})]:
+            m = seifert_from_conway(conway_even_form(SchubertForm(alpha, beta)))
+            assert m.genus >= 20
+            delta = alexander_poly(m)
+            for p_prime in [6, 10, 14, 15, 21, 35]:
+                assert [d for d, _primes in _candidate_orders(p_prime, 2 * m.genus)] == [p_prime]
+                expected = p_prime not in dividing
+                assert root_of_unity_check(m, p_prime) == expected, (alpha, p_prime)
+            for p_prime in range(1, 121):
+                assert root_of_unity_check(m, p_prime) == polynomial_root_of_unity_check(
+                    delta, p_prime
+                ), (alpha, beta, p_prime)
+
     def test_torus_knot_closed_form(self):
         # T(2,n) = S(n, n-1), n odd, has delta = sum_{k<n} (-t)^k up to a
         # shift, i.e. (t^n + 1)/(t + 1): its roots are the roots of unity of
