@@ -8,10 +8,13 @@ det(M - t M^T) normalized by a unit times t^(-g) to be symmetric with
 value 1 at t = 1.
 
 That matrix is tridiagonal and its units never change, so it is stored
-as its diagonal alone and no matrix is ever built: the Alexander
-polynomial, the signature and the knot determinant all come from
-three-term recurrences for the leading minors of M - t M^T and M + M^T,
-read off that diagonal.
+as its diagonal alone and no matrix is ever built.  One band loop
+(_band) runs once over that diagonal and carries three-term recurrences
+for the leading minors of M - t M^T (kept mod z^3, which gives
+Delta''(1)) and of M + M^T (the signature and the knot determinant),
+plus the sign sum of the diagonal, which is the longitude's sign sum in
+the boundary-slope data.  The full Alexander polynomial evaluates the
+first recurrence once at a packed integer instead.
 """
 
 from __future__ import annotations
@@ -172,22 +175,63 @@ class SeifertMatrix:
         return self.size // 2
 
 
-def _leading_minors(diagonal):
-    """Leading principal minors D_1, ..., D_n of the symmetric tridiagonal
-    matrix with this diagonal and unit off-diagonal, by the three-term
-    recurrence D_k = a_k D_(k-1) - D_(k-2)."""
-    prev, cur = 0, 1
-    for a in diagonal:
-        prev, cur = cur, a * cur - prev
-        yield cur
+def _band(diagonal) -> tuple[int, int, int, int, int, int, int]:
+    """One pass over a Seifert diagonal a_1, ..., a_n, returning
+    (F(0), [z]F, [z^2]F, sigma, det, longitude, vanishing):
+
+      * F = F_n mod z^3, from F_k = -a_k z F_(k-1) + F_(k-2) with
+        F_(-1) = 0, F_0 = 1 (see alexander_second_derivative);
+      * the leading minors D_k = 2 a_k D_(k-1) - D_(k-2) of M + M^T, the
+        symmetric tridiagonal matrix with diagonal 2 a_k and unit
+        off-diagonal: sigma is the sum of sign(D_(k-1) D_k) (Jacobi's
+        rule), det is D_n, and vanishing is the first k with D_k = 0, or
+        0 when none vanishes (sigma means nothing then);
+      * longitude, the sum of sign(a_k).  As a_k = (-1)^(k+1) e_k / 2 for
+        the even Conway entries e_k, a_k > 0 exactly when e_k matches the
+        pattern +,-,+,-,...: this is the sign sum n+ - n- of the all-even
+        expansion, the longitude of the boundary-slope data.
+    """
+    c0, c1, c2, p0, p1, p2 = 1, 0, 0, 0, 0, 0  # F_k and F_(k-1), constant first
+    minor, before = 1, 0  # D_k and D_(k-1)
+    sigma = longitude = vanishing = 0
+    for k, a in enumerate(diagonal, start=1):
+        c0, c1, c2, p0, p1, p2 = p0, p1 - a * c0, p2 - a * c1, c0, c1, c2
+        positive = minor > 0
+        minor, before = 2 * a * minor - before, minor
+        if not minor and not vanishing:
+            vanishing = k
+        sigma += 1 if (minor > 0) == positive else -1
+        longitude += 1 if a > 0 else -1
+    return c0, c1, c2, sigma, minor, longitude, vanishing
+
+
+def _delta_second(unit: int, odd: int, second: int) -> int:
+    """Delta''(1) from F mod z^3 as _band gives it; NormalizationError
+    unless F(0) = +-1 and [z]F = 0."""
+    if abs(unit) != 1:
+        raise NormalizationError(f"determinant evaluates to {unit} at t=1, not a unit")
+    if odd:
+        raise NormalizationError("no unit multiple of t^-g makes the determinant symmetric")
+    return 2 * unit * second
+
+
+def _signature(sigma: int, vanishing: int) -> int:
+    """The signature as _band gives it; SingularError on a vanishing minor."""
+    if vanishing:
+        raise SingularError(f"leading minor {vanishing} of M + M^T vanishes")
+    return sigma
+
+
+def _seifert_diagonal(entries: tuple[int, ...]) -> list[int]:
+    """Diagonal of the Seifert matrix of C[e1, ..., e2g]: entry i is
+    (-1)^(i+1) * e_i / 2 (1-based)."""
+    return [e // 2 if i % 2 == 0 else -(e // 2) for i, e in enumerate(entries)]
 
 
 def seifert_from_conway(c: ConwayForm) -> SeifertMatrix:
-    """Seifert matrix of the even Conway form C[e1, ..., e2g]: diagonal
-    entry i is (-1)^(i+1) * e_i / 2 (1-based)."""
-    return SeifertMatrix(
-        tuple(e // 2 if i % 2 == 0 else -(e // 2) for i, e in enumerate(c.entries))
-    )
+    """Seifert matrix of the even Conway form C[e1, ..., e2g] (see
+    _seifert_diagonal)."""
+    return SeifertMatrix(tuple(_seifert_diagonal(c.entries)))
 
 
 def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
@@ -205,13 +249,14 @@ def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     w-bit lanes, which hold them because a two-bridge knot is alternating
     and so is its Alexander polynomial (Crowell, Murasugi): the sum of
     their absolute values is |Delta(-1)| = |det(M + M^T)|, the last
-    leading minor of M + M^T, and w leaves room for that and a sign bit.
+    leading minor of M + M^T (from _band), and w leaves room for that and
+    a sign bit.
     The unit sign is fixed by requiring value 1 at t = 1; anything else
     signals an invalid Seifert matrix and raises NormalizationError.  A
     coefficient sum that is not the determinant means the lanes did not
     hold the polynomial: InternalError.
     """
-    *_, det = _leading_minors(2 * a for a in M.diagonal)
+    det = _band(M.diagonal)[4]
     lane = (abs(det).bit_length() + 8) // 8  # bytes per coefficient, sign bit included
     w = 8 * lane
     prev, cur = 0, 1  # D_(-1) and D_0 at T
@@ -245,19 +290,12 @@ def alexander_second_derivative(M: SeifertMatrix) -> int:
         F_k = -a_k z F_(k-1) + F_(k-2),   z = t^(1/2) - t^(-1/2),
     and Delta = F(0) F_2g with F(0) = +-1.  As z(1) = 0, z'(1) = 1 and
     z''(1) = -1, Delta''(1) = F(0) (2 [z^2]F_2g - [z]F_2g), so F is kept
-    mod z^3: three integers per step, O(g) steps.  A valid matrix gives
-    [z]F_2g = 0 (Delta is symmetric) and F(0) = 1; anything else raises
-    NormalizationError, as `alexander_poly` does.
+    mod z^3: three integers per step of _band, O(g) steps.  A valid matrix
+    gives [z]F_2g = 0 (Delta is symmetric) and F(0) = 1; anything else
+    raises NormalizationError, as `alexander_poly` does.
     """
-    prev, cur = (0, 0, 0), (1, 0, 0)  # F_(-1) and F_0 mod z^3, constant first
-    for a in M.diagonal:
-        prev, cur = cur, (prev[0], prev[1] - a * cur[0], prev[2] - a * cur[1])
-    unit, odd, second = cur
-    if abs(unit) != 1:
-        raise NormalizationError(f"determinant evaluates to {unit} at t=1, not a unit")
-    if odd:
-        raise NormalizationError("no unit multiple of t^-g makes the determinant symmetric")
-    return 2 * unit * second
+    unit, odd, second, *_ = _band(M.diagonal)
+    return _delta_second(unit, odd, second)
 
 
 # Largest genus, in bands of two even Conway entries, that any command
@@ -270,7 +308,15 @@ MAX_GENUS = 5000
 
 
 def conway_even_form(s: SchubertForm) -> ConwayForm:
-    """Even Conway form: tail of the unique all-even expansion of beta/alpha.
+    """Even Conway form: tail of the unique all-even expansion of beta/alpha
+    (see _even_entries)."""
+    if s.beta % 2 != 0:
+        raise DomainError(f"conway_even_form needs the canonical even-beta form, got {s}")
+    return ConwayForm(_even_entries(s.alpha, s.beta))
+
+
+def _even_entries(alpha: int, beta: int) -> tuple[int, ...]:
+    """Entries of the even Conway form of S(alpha, beta), beta even.
 
     At every step exactly one of floor and ceiling of the residual target
     is even, so the expansion is forced term by term; the residual
@@ -279,15 +325,15 @@ def conway_even_form(s: SchubertForm) -> ConwayForm:
     steps is twice the genus, which nothing else bounds, so the walk
     stops with DomainError once the form is longer than MAX_GENUS bands.
     """
-    if s.beta % 2 != 0:
-        raise DomainError(f"conway_even_form needs the canonical even-beta form, got {s}")
     entries = []
-    num, den = s.alpha, s.beta
+    num, den = alpha, beta
     while True:
         q, rem = divmod(num, den)
         if rem == 0:
             if q % 2 != 0:
-                raise InternalError(f"all-even expansion of {s} ended on odd term {q}")
+                raise InternalError(
+                    f"all-even expansion of S({alpha},{beta}) ended on odd term {q}"
+                )
             entries.append(q)
             break
         a = q if q % 2 == 0 else q + 1
@@ -299,8 +345,8 @@ def conway_even_form(s: SchubertForm) -> ConwayForm:
         if den < 0:
             num, den = -num, -den
     if len(entries) % 2 != 0:
-        raise InternalError(f"all-even expansion of {s} has odd length")
-    return ConwayForm(tuple(entries))
+        raise InternalError(f"all-even expansion of S({alpha},{beta}) has odd length")
+    return tuple(entries)
 
 
 def second_derivative_at_one(d: LaurentPolynomial) -> int:
@@ -351,22 +397,16 @@ def signature(M: SeifertMatrix) -> int:
 
     M + M^T is tridiagonal with diagonal 2 * M.diagonal and unit
     off-diagonal, so the signature is the sum of sign(D_(k-1) * D_k)
-    over the leading minors that `knot_determinant` also runs.  Every
-    diagonal entry of M + M^T is at least 2 in absolute value, so |D_k|
-    grows strictly, no minor vanishes, and the result is an even integer.
-    A vanishing minor means an invalid matrix: SingularError.
+    over the leading minors that _band runs.  Every diagonal entry of
+    M + M^T is at least 2 in absolute value, so |D_k| grows strictly, no
+    minor vanishes, and the result is an even integer.  A vanishing minor
+    means an invalid matrix: SingularError.
     """
-    sigma, prev = 0, 1
-    for k, minor in enumerate(_leading_minors(2 * a for a in M.diagonal), start=1):
-        if minor == 0:
-            raise SingularError(f"leading minor {k} of M + M^T vanishes")
-        sigma += 1 if (minor > 0) == (prev > 0) else -1
-        prev = minor
-    return sigma
+    _, _, _, sigma, _, _, vanishing = _band(M.diagonal)
+    return _signature(sigma, vanishing)
 
 
 def knot_determinant(c: ConwayForm) -> int:
     """|det(M + M^T)| for the Conway form's Seifert matrix: the last
-    leading minor of M + M^T, whose diagonal is 2 * M.diagonal."""
-    *_, det = _leading_minors(2 * a for a in seifert_from_conway(c).diagonal)
-    return abs(det)
+    leading minor of M + M^T, from _band."""
+    return abs(_band(_seifert_diagonal(c.entries))[4])

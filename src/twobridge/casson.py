@@ -35,12 +35,14 @@ from fractions import Fraction
 
 from .alexander import (
     SeifertMatrix,
+    _band,
+    _seifert_diagonal,
     alexander_poly,
     conway_even_form,
     seifert_from_conway,
 )
 from .errors import DomainError, MeridianError
-from .rational import SchubertForm, preferred_form
+from .rational import SchubertForm, _ascii_int, preferred_form
 from .slopes import SlopeSystem, SlopeWeights, _slope_weights
 
 # Either carries .weights, the (slope, total weight) pairs; nothing else is read.
@@ -71,7 +73,7 @@ class SurgerySlope:
     def parse(cls, text: str) -> "SurgerySlope":
         p_str, slash, q_str = text.strip().partition("/")
         try:
-            p, q = int(p_str), int(q_str) if slash else 1
+            p, q = _ascii_int(p_str), _ascii_int(q_str) if slash else 1
         except ValueError:
             raise DomainError(f"cannot parse surgery slope {text!r} (want p/q or p)") from None
         return cls(p, q)
@@ -233,7 +235,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
     # value always describes the input knot.
     r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
     conway = conway_even_form(canonical)
-    weights = _slope_weights(canonical, conway.entries, {})
+    weights = _slope_weights(canonical, _band(_seifert_diagonal(conway.entries))[5], {})
     seminorm = total_seminorm(weights, r_eff)
     if r.p % 2 == 0:
         value = seminorm / 2

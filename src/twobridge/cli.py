@@ -26,11 +26,12 @@ from .alexander import (
 )
 from .casson import SurgerySlope, lambda_surgery
 from .errors import DomainError, MeridianError
-from .obstruction import NAMED_FORMS, ObstructionReport, _unsorted_census, knot_name, obstruct
+from .obstruction import CAVEATS, NAMED_FORMS, _unsorted_census, knot_name, obstruct
 from .rational import (
     ContinuedFraction,
     ConwayForm,
     SchubertForm,
+    _ascii_int,
     cf_eval,
     crossing_number,
     kx_family,
@@ -41,9 +42,18 @@ from .slopes import enumerate_bscf
 
 SCHEMA_VERSION = "1"
 
-_SCHUBERT_RE = re.compile(r"^S\((-?\d+),(-?\d+)\)$")
-_CONWAY_RE = re.compile(r"^C\[(-?\d+(?:,-?\d+)*)\]$")
-_NAME_RE = re.compile(r"^\d+_\d+$")
+# [0-9], not \d: \d also matches the digits of other scripts
+_SCHUBERT_RE = re.compile(r"^S\((-?[0-9]+),(-?[0-9]+)\)$")
+_CONWAY_RE = re.compile(r"^C\[(-?[0-9]+(?:,-?[0-9]+)*)\]$")
+_NAME_RE = re.compile(r"^[0-9]+_[0-9]+$")
+
+
+def _int_arg(text: str) -> int:
+    """argparse type for integer options: ASCII digits only."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _spec_int(digits: str) -> int:
@@ -102,17 +112,25 @@ _REPORT_FIELDS = (
 )
 
 
-def _report_payload(r: ObstructionReport) -> dict:
+def _half(twice: int) -> int | str:
+    """_rat of twice / 2, without the Fraction."""
+    return twice // 2 if twice % 2 == 0 else f"{twice}/2"
+
+
+def _report_payload(values: tuple) -> dict:
+    """The obstruct payload of one knot, from the values of
+    obstruction._values."""
+    alpha, beta, mirrored, name, crossings, delta_second, sigma, twice, verdict = values
     return {
-        "name": r.name,
-        "schubert": {"alpha": r.knot.alpha, "beta": r.knot.beta},
-        "mirrored": r.mirrored,
-        "crossing_number": r.crossing_number,
-        "delta_second": r.delta_second,
-        "sigma": r.sigma,
-        "casson_difference": _rat(r.casson_difference),
-        "verdict": r.verdict.value,
-        "caveats": list(r.caveats),
+        "name": name,
+        "schubert": {"alpha": alpha, "beta": beta},
+        "mirrored": mirrored,
+        "crossing_number": crossings,
+        "delta_second": delta_second,
+        "sigma": sigma,
+        "casson_difference": _half(twice),
+        "verdict": verdict.value,
+        "caveats": list(CAVEATS.get(verdict, ())),
     }
 
 
@@ -267,15 +285,20 @@ def _parse_filters(filters: list[str]) -> list[tuple[str, str]]:
     return parsed
 
 
-def _census_line(p: dict, jsonl: bool) -> str:
-    if jsonl:
-        return json.dumps(_document("obstruct", p))
-    name = p["name"] or f"S({p['schubert']['alpha']},{p['schubert']['beta']})"
+def _matches(payload: dict, filters: list[tuple[str, str]]) -> bool:
+    """Every filter value equals its field as Python or as JSON spells it
+    (False or false, None or null)."""
+    return all(v in (str(payload[k]), json.dumps(payload[k])) for k, v in filters)
+
+
+def _census_text(values: tuple) -> str:
+    """The text line of one census knot."""
+    alpha, beta, _, name, crossings, delta_second, sigma, twice, verdict = values
     return (
-        f"{name:<8} S({p['schubert']['alpha']},{p['schubert']['beta']})"
-        f" crossings={p['crossing_number']}"
-        f" delta''={p['delta_second']} sigma={p['sigma']}"
-        f" diff={p['casson_difference']} {p['verdict']}"
+        f"{name or f'S({alpha},{beta})':<8} S({alpha},{beta})"
+        f" crossings={crossings}"
+        f" delta''={delta_second} sigma={sigma}"
+        f" diff={_half(twice)} {verdict.value}"
     )
 
 
@@ -284,13 +307,19 @@ def _cmd_obstruct(args) -> int:
         filters = _parse_filters(args.filter)  # before the census does any work
         array = args.json and not args.jsonl  # --jsonl wins over --json
         # (alpha, beta, finished line) per kept knot, or the payload for a
-        # JSON array; the reports themselves are not kept
+        # JSON array; neither reports nor throw-away payloads are built
         rows = []
-        for r in _unsorted_census(args.census):
-            p = _report_payload(r)
-            if all(str(p[k]) == v for k, v in filters):
-                entry = p if array else _census_line(p, args.jsonl)
-                rows.append((r.knot.alpha, r.knot.beta, entry))
+        for v in _unsorted_census(args.census):
+            p = _report_payload(v) if array or args.jsonl or filters else None
+            if filters and not _matches(p, filters):
+                continue
+            if array:
+                entry = p
+            elif args.jsonl:
+                entry = json.dumps(_document("obstruct", p))
+            else:
+                entry = _census_text(v)
+            rows.append((v[0], v[1], entry))
         rows.sort(key=lambda row: row[:2])
         if array:
             print(json.dumps(_document("obstruct", [p for _, _, p in rows]), indent=2))
@@ -301,7 +330,11 @@ def _cmd_obstruct(args) -> int:
     if args.filter:
         raise DomainError("--filter needs --census")
     s = _resolve_knot(args)
-    payload = _report_payload(obstruct(s))
+    r = obstruct(s)
+    payload = _report_payload(  # the report's values, as _values gives them
+        (r.knot.alpha, r.knot.beta, r.mirrored, r.name, r.crossing_number,
+         r.delta_second, r.sigma, int(2 * r.casson_difference), r.verdict)
+    )
     if args.json or args.jsonl:
         print(json.dumps(_document("obstruct", payload), indent=2))
     else:
@@ -329,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_knot_args(p):
         p.add_argument("knot", nargs="?", help="knot spec: S(a,b), C[e1,...], or a name like 9_27")
-        p.add_argument("--kx", type=int, metavar="X", help="use the slice-family knot with parameter X")
+        p.add_argument("--kx", type=_int_arg, metavar="X", help="use the slice-family knot with parameter X")
         p.add_argument("--json", action="store_true", help="emit a JSON document")
 
     p_info = sub.add_parser("info", help="normal forms, crossing number, genus")
@@ -353,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser("obstruct", help="cosmetic surgery obstruction verdict")
     add_knot_args(p_obs)
-    p_obs.add_argument("--census", type=int, metavar="N", help="report every knot of at most N crossings")
+    p_obs.add_argument("--census", type=_int_arg, metavar="N", help="report every knot of at most N crossings")
     p_obs.add_argument("--filter", action="append", default=[], metavar="FIELD=VALUE",
                        help="keep census reports with FIELD equal to VALUE (repeatable)")
     p_obs.add_argument("--jsonl", action="store_true", help="one JSON document per line (census)")

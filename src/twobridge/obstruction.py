@@ -22,16 +22,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alexander import (
-    alexander_second_derivative,
-    conway_even_form,
-    seifert_from_conway,
-    signature,
-)
-from .casson import cosmetic_difference
+from .alexander import _band, _delta_second, _even_entries, _seifert_diagonal, _signature
 from .errors import DomainError
 from .rational import SchubertForm, crossing_number, preferred_form
-from .slopes import _slope_weights
+from .slopes import _weight_sides
 
 
 class Verdict(enum.Enum):
@@ -86,36 +80,60 @@ def classify(delta_second: int, sigma: int, casson_difference: Fraction) -> Verd
     return Verdict.INCONCLUSIVE
 
 
+# The caveats of a report follow from its verdict.
+CAVEATS = {
+    Verdict.NO_HOMOLOGY_SPHERE_COSMETIC_SL2C: (
+        "rules out only surgery pairs yielding homology 3-spheres",
+    ),
+    Verdict.INCONCLUSIVE: ("no obstruction fired; cosmetic surgeries are not excluded",),
+}
+
+
 def obstruct(s: SchubertForm) -> ObstructionReport:
     """Run all three obstructions on one knot and report the verdict."""
-    return _obstruct(s, {})
-
-
-def _obstruct(s: SchubertForm, memo: dict) -> ObstructionReport:
-    """obstruct, with the slope walk reading and filling memo (see
-    slopes._slope_weights), which a census shares across its knots."""
     canonical, mirrored = preferred_form(s)
-    conway = conway_even_form(canonical)
-    matrix = seifert_from_conway(conway)
-    delta_second = alexander_second_derivative(matrix)
-    sigma = signature(matrix)
-    diff = cosmetic_difference(_slope_weights(canonical, conway.entries, memo))
-    verdict = classify(delta_second, sigma, diff)
-    caveats: tuple[str, ...] = ()
-    if verdict is Verdict.NO_HOMOLOGY_SPHERE_COSMETIC_SL2C:
-        caveats = ("rules out only surgery pairs yielding homology 3-spheres",)
-    elif verdict is Verdict.INCONCLUSIVE:
-        caveats = ("no obstruction fired; cosmetic surgeries are not excluded",)
+    return _report(_values(canonical.alpha, canonical.beta, mirrored, knot_name(canonical),
+                           crossing_number(canonical), {}))
+
+
+def _values(alpha: int, beta: int, mirrored: bool, name: str | None, crossings: int,
+            memo: dict) -> tuple:
+    """The kernel: the values of the report on S(alpha, beta), a preferred
+    form, as the plain tuple
+
+        (alpha, beta, mirrored, name, crossings, delta_second, sigma,
+         twice_difference, verdict)
+
+    where twice_difference = 2 * casson_difference is an integer and the
+    caveats are CAVEATS.get(verdict, ()).  One band loop over the Seifert
+    diagonal gives Delta''(1), the signature and the longitude's sign
+    sum; the slope walk reads and fills memo (see
+    slopes._root_children), which a census shares across its knots.
+    """
+    unit, odd, second, sigma, _, longitude, vanishing = _band(
+        _seifert_diagonal(_even_entries(alpha, beta))
+    )
+    delta_second = _delta_second(unit, odd, second)
+    sigma = _signature(sigma, vanishing)
+    negative, positive = _weight_sides(alpha, beta, longitude, memo)
+    twice = negative - positive
+    return (alpha, beta, mirrored, name, crossings, delta_second, sigma, twice,
+            classify(delta_second, sigma, twice))
+
+
+def _report(values: tuple) -> ObstructionReport:
+    """The ObstructionReport holding the values of _values."""
+    alpha, beta, mirrored, name, crossings, delta_second, sigma, twice, verdict = values
     return ObstructionReport(
-        knot=canonical,
+        knot=SchubertForm(alpha, beta),
         mirrored=mirrored,
-        name=knot_name(canonical),
-        crossing_number=crossing_number(canonical),
+        name=name,
+        crossing_number=crossings,
         delta_second=delta_second,
         sigma=sigma,
-        casson_difference=diff,
+        casson_difference=Fraction(twice, 2),
         verdict=verdict,
-        caveats=caveats,
+        caveats=CAVEATS.get(verdict, ()),
     )
 
 
@@ -175,17 +193,18 @@ def knot_name(s: SchubertForm) -> str | None:
 
 
 # census(N) reports about 2^(N-2)/3 knots, and the time per knot grows
-# slowly with N: `obstruct --census N --jsonl` takes 0.6 s of CPU time
-# at N = 16 (22.5 MB peak RSS), 2.4 s at N = 18 (43 MB) and 10.6 s at
-# N = 20 (87,722 knots, 74 MB) on a 2-CPU x86_64 container with Python
-# 3.11.  Memory is the slope memo, at most slopes.MEMO_CAP states (it
-# was cleared 13 times at N = 20), plus one output line per knot.
+# slowly with N: `obstruct --census N --jsonl` takes 0.47 s of CPU time
+# at N = 16 (22.4 MB peak RSS), 1.7 s at N = 18 (37 MB) and 8.3 s at
+# N = 20 (87,722 knots, 71 MB) as a child process on a 2-CPU x86_64
+# container with Python 3.11.  Memory is the slope memo, at most
+# slopes.MEMO_CAP states (it was cleared once at N = 18 and 13 times at
+# N = 20), plus one output line per knot.
 CENSUS_MAX_CROSSINGS = 20
 
 
-def _class_representatives(max_crossings: int) -> Iterator[SchubertForm]:
-    """S(alpha, class_key) for every knot class of crossing number <= max_crossings,
-    one at a time.
+def _class_representatives(max_crossings: int) -> Iterator[tuple[int, int, int]]:
+    """(alpha, class_key, crossing number) for every knot class of crossing
+    number <= max_crossings, one at a time.
 
     Depth-first over simple continued fraction tails [a1, ..., ak] of
     beta/alpha (positive terms, the last >= 2), each carrying its
@@ -193,14 +212,18 @@ def _class_representatives(max_crossings: int) -> Iterator[SchubertForm]:
     has exactly one such tail, the class key lies below alpha/2 (so
     a1 >= 2), and the term sum is the crossing number of all four
     presentations of the knot; so a tail of sum <= max_crossings is kept
-    exactly when alpha is odd and beta is its class key.
+    exactly when alpha is odd and beta is its class key.  The previous
+    convergent's denominator q' satisfies beta q' = +-1 mod alpha, so
+    the four presentations are beta, alpha - beta, q' and alpha - q', and
+    beta (below alpha/2) is the class key when it is at most q' and
+    alpha - q'.
     """
     # (p_prev, q_prev, p, q, term sum, last term) after the tail [a1]
     stack = [(0, 1, 1, a1, a1, a1) for a1 in range(2, max_crossings + 1)]
     while stack:
         p_prev, q_prev, p, q, total, last = stack.pop()
-        if last >= 2 and q % 2 == 1 and class_key(q, p) == p:
-            yield SchubertForm(q, p)
+        if last >= 2 and q % 2 == 1 and p <= q_prev and p <= q - q_prev:
+            yield q, p, total
         for a in range(1, max_crossings - total + 1):
             stack.append((p, q, a * p + p_prev, a * q + q_prev, total + a, a))
 
@@ -213,16 +236,16 @@ def census(max_crossings: int) -> list[ObstructionReport]:
     the number of knots reported, not with the range of alpha.
     max_crossings above CENSUS_MAX_CROSSINGS is refused.
     """
-    reports = list(_unsorted_census(max_crossings))
-    reports.sort(key=lambda r: (r.knot.alpha, r.knot.beta))
-    return reports
+    rows = sorted(_unsorted_census(max_crossings), key=lambda v: (v[0], v[1]))
+    return [_report(v) for v in rows]
 
 
-def _unsorted_census(max_crossings: int) -> Iterator[ObstructionReport]:
-    """The reports of census(max_crossings), one at a time in the order of
-    the tail walk, so a caller can keep less than the reports.  The bound
-    is checked at the call, before any work.  All knots share one slope
-    memo, which slopes.MEMO_CAP bounds."""
+def _unsorted_census(max_crossings: int) -> Iterator[tuple]:
+    """The values (see _values) of the reports of census(max_crossings),
+    one knot at a time in the order of the tail walk, so a caller can
+    keep less than the reports.  The bound is checked at the call, before
+    any work.  All knots share one slope memo, which slopes.MEMO_CAP
+    bounds."""
     if max_crossings < 3:
         raise DomainError(f"max_crossings must be >= 3, got {max_crossings}")
     if max_crossings > CENSUS_MAX_CROSSINGS:
@@ -230,4 +253,21 @@ def _unsorted_census(max_crossings: int) -> Iterator[ObstructionReport]:
             f"census is limited to {CENSUS_MAX_CROSSINGS} crossings, got {max_crossings}"
         )
     memo: dict = {}
-    return (_obstruct(form, memo) for form in _class_representatives(max_crossings))
+    return (_class_values(alpha, key, crossings, memo)
+            for alpha, key, crossings in _class_representatives(max_crossings))
+
+
+def _class_values(alpha: int, key: int, crossings: int, memo: dict) -> tuple:
+    """_values for the knot class S(alpha, key), key its class key: the
+    preferred form of preferred_form on integers.  The key is the least of
+    the four presentations, so for an even key no inverse is smaller; an
+    odd key presents the mirror of the even alpha - key, whose inverse
+    alpha - key^-1 replaces it when even and smaller."""
+    if key % 2 == 0:
+        beta, mirrored = key, False
+    else:
+        beta, mirrored = alpha - key, True
+        inverse = alpha - pow(key, -1, alpha)
+        if inverse % 2 == 0 and inverse < beta:
+            beta = inverse
+    return _values(alpha, beta, mirrored, KNOT_NAMES.get((alpha, key)), crossings, memo)

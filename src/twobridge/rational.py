@@ -26,6 +26,18 @@ def _as_int(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), with int's surrounding whitespace and optional sign, but
+    ASCII digits only: int alone also takes digit separators ("1_0") and
+    the digits of other scripts.  ValueError otherwise, as int raises."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class ContinuedFraction:
     """A continued fraction [c, b1, ..., bn] with integer part c.

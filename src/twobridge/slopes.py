@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .alexander import conway_even_form
+from .alexander import _band, _seifert_diagonal, conway_even_form
 from .errors import DomainError, InternalError
 from .rational import ContinuedFraction, SchubertForm, cf_eval, simple_cf
 
@@ -141,11 +141,11 @@ MAX_EXPANSION_TERMS = 500_000
 def _expansions(s: SchubertForm, depth_limit: int) -> list[tuple[int, ...]]:
     """Term lists of every expansion of beta/alpha with tail terms |a| >= 2.
 
-    Walks the states of _step depth-first from the roots of _slope_weights
-    with the target's sign, which the ceiling flips; a term is that sign
-    times the folded term.  One path is cut back on each pop, so the work
-    is linear in the terms listed; DomainError as soon as they must pass
-    MAX_EXPANSION_TERMS.
+    Walks the states of _step depth-first from the roots of
+    _root_children with the target's sign, which the ceiling flips; a
+    term is that sign times the folded term.  One path is cut back on
+    each pop, so the work is linear in the terms listed; DomainError as
+    soon as they must pass MAX_EXPANSION_TERMS.
     """
     out: list[tuple[int, ...]] = []
     listed = 0
@@ -222,55 +222,36 @@ def enumerate_bscf(s: SchubertForm) -> SlopeSystem:
     return SlopeSystem(knot=s, records=records, longitude_index=longitude_index)
 
 
-def _sign_step(term: int, odd_position: bool) -> int:
-    """+1 when the term's sign matches the pattern +,-,+,-,... at its position."""
-    return 1 if (term > 0) == odd_position else -1
-
-
 def slope_weights(s: SchubertForm) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form.
 
-    See _slope_weights, which this calls with the entries of the even
-    Conway form of s and a fresh memo.
+    See _slope_weights, which this calls with the longitude's sign sum
+    from the band loop over the even Conway form of s and a fresh memo.
     """
     if s.beta % 2 != 0:
         raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
-    return _slope_weights(s, conway_even_form(s).entries, {})
+    longitude = _band(_seifert_diagonal(conway_even_form(s).entries))[5]
+    return _slope_weights(s, longitude, {})
 
 
 # A memo shared by many walks (one census) is cleared before a walk once
 # it holds this many states, about 16 MB (some 500 bytes a state).  A
-# census up to 18 crossings never reaches it (32,365 states at N = 18).
+# census up to 17 crossings never reaches it (20,543 states at N = 17);
+# N = 18 reaches it once, near its end.
 MEMO_CAP = 32768
 
 
-def _slope_weights(s: SchubertForm, entries: tuple[int, ...],
-                   memo: dict[tuple[int, int], dict[int, int]]) -> SlopeWeights:
-    """Total weight per boundary slope of a canonical (even-beta) form s,
-    given the entries of its even Conway form.
+def _fill(stack: list[tuple[int, int]], memo: dict[tuple[int, int], dict[int, int]]) -> None:
+    """Put the distribution of every key on the stack, and of every state
+    below it, into memo.
 
     Walks the states of _step, memoised: memo[(n, d)] maps the sum of the
     sign steps n+ - n- over the rest of an expansion from the target n/d
     at an odd position to the total weight of the expansions with that
     sum (-n/d at an even position has the same map, the other two cases
-    its reflection {-total: w}).
-
-    A state's distribution depends on its key alone, so one memo can
-    serve many knots and any entry may be dropped; the memo is cleared
-    before the walk once it holds MEMO_CAP states.  The two roots, one
-    per integer part 0 and 1, are read and dropped: no other census knot
-    starts there, and few walks pass through them.  The longitude's sum,
-    read off the even Conway form, anchors the slopes.  Iterative with an
-    explicit stack, because expansions can run to thousands of terms.
-    The weights sum to alpha and the longitude puts weight on slope 0;
-    both are checked.
+    its reflection {-total: w}).  Iterative with an explicit stack,
+    because expansions can run to thousands of terms.
     """
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1:
-    # alpha/beta, and -alpha/(alpha - beta), the reflection of its key
-    roots = [(s.alpha, s.beta), (s.alpha, s.alpha - s.beta)]
-    stack = list(roots)
     while stack:
         key = stack[-1]
         if key in memo:
@@ -292,17 +273,93 @@ def _slope_weights(s: SchubertForm, entries: tuple[int, ...],
                 dist[1 + sign * total] = dist.get(1 + sign * total, 0) + w * (a - 1)
         memo[key] = dist
 
-    longitude = sum(_sign_step(e, j % 2 == 1) for j, e in enumerate(entries, start=1))
+
+# The distribution below a last term: one empty sum of weight 1.
+_END = {0: 1}
+
+
+def _root_children(alpha: int, beta: int, memo: dict[tuple[int, int], dict[int, int]]
+                   ) -> tuple[list[tuple[dict[int, int], int, int]], ...]:
+    """The memo fill for S(alpha, beta), beta even: the children (child's
+    distribution, term, sign of the child's sums) of its two roots, one
+    per integer part 0 and 1, with every state below them in memo.
+
+    The roots' own distributions are never stored: no other census knot
+    starts there, and few walks pass through them, so each read merges
+    the children itself (a last term q reads as the child _END).  A
+    state's distribution depends on its key alone, so one memo can serve
+    many knots and any entry may be dropped; the memo is cleared before
+    the fill once it holds MEMO_CAP states.
+    """
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    out = []
+    # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1:
+    # alpha/beta, and -alpha/(alpha - beta), the reflection of its key
+    for root in ((alpha, beta), (alpha, alpha - beta)):
+        q, children = _step(*root)
+        if not children:
+            out.append([(_END, q, 1)])
+            continue
+        _fill([child for child, _, _ in children if child not in memo], memo)
+        out.append([(memo[child], a, sign) for child, a, sign in children])
+    return tuple(out)
+
+
+def _check_weights(alpha: int, beta: int, total: int, at_longitude: int) -> None:
+    """The weights sum to alpha and the longitude puts weight on slope 0."""
+    if total != alpha:
+        raise InternalError(f"slope weights of S({alpha},{beta}) sum to {total}, not alpha")
+    if not at_longitude:
+        raise InternalError(f"no weight at the longitude slope 0 for S({alpha},{beta})")
+
+
+def _slope_weights(s: SchubertForm, longitude: int,
+                   memo: dict[tuple[int, int], dict[int, int]]) -> SlopeWeights:
+    """Total weight per boundary slope of a canonical (even-beta) form s,
+    given the longitude's sign sum (see alexander._band), which anchors
+    the slopes: the fill of _root_children, read as the sorted
+    {slope: total weight} distribution.  A sign sum t from the root of
+    integer part 0 (1) has slope 2(t - longitude) (2(-t - longitude)).
+    Both checks of _check_weights are made.
+    """
     totals: dict[int, int] = {}
-    for root, sign in zip(roots, (1, -1)):
-        for total, w in memo.pop(root).items():
-            slope = 2 * (sign * total - longitude)
-            totals[slope] = totals.get(slope, 0) + w
-    if sum(totals.values()) != s.alpha:
-        raise InternalError(f"slope weights of {s} sum to {sum(totals.values())}, not alpha")
-    if not totals.get(0):
-        raise InternalError(f"no weight at the longitude slope 0 for {s}")
+    for children, root_sign in zip(_root_children(s.alpha, s.beta, memo), (1, -1)):
+        for dist, a, sign in children:
+            for total, w in dist.items():
+                slope = 2 * (root_sign * (1 + sign * total) - longitude)
+                totals[slope] = totals.get(slope, 0) + w * (a - 1)
+    _check_weights(s.alpha, s.beta, sum(totals.values()), totals.get(0, 0))
     return SlopeWeights(knot=s, weights=tuple(sorted(totals.items())))
+
+
+def _weight_sides(alpha: int, beta: int, longitude: int,
+                  memo: dict[tuple[int, int], dict[int, int]]) -> tuple[int, int]:
+    """(sum_{N<0} W, sum_{N>0} W) for S(alpha, beta), beta even: the fill
+    of _root_children read as two sums, with the checks of
+    _check_weights.  Only the comparison of a root's sign sum with the
+    longitude counts (see _slope_weights).
+    """
+    negative = positive = at_longitude = 0
+    for children, root_sign in zip(_root_children(alpha, beta, memo), (1, -1)):
+        for dist, a, sign in children:
+            # root_sign * (1 + sign * total) against longitude
+            sign *= root_sign
+            bound = longitude - root_sign
+            below = above = at = 0
+            for total, w in dist.items():
+                total *= sign
+                if total < bound:
+                    below += w
+                elif total > bound:
+                    above += w
+                else:
+                    at += w
+            negative += below * (a - 1)
+            positive += above * (a - 1)
+            at_longitude += at * (a - 1)
+    _check_weights(alpha, beta, negative + positive + at_longitude, at_longitude)
+    return negative, positive
 
 
 def apply_substitutions(simple: ContinuedFraction, positions: set[int]) -> ContinuedFraction:

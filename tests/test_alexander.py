@@ -202,7 +202,8 @@ class TestAlexanderPoly:
         # to it in absolute value
         import twobridge.alexander as alexander
 
-        monkeypatch.setattr(alexander, "_leading_minors", lambda diagonal: iter([1]))
+        # (F mod z^3, sigma, det, longitude, vanishing) with det = 1
+        monkeypatch.setattr(alexander, "_band", lambda diagonal: (1, 0, 0, 0, 1, 0, 0))
         for diagonal in [(1, 1, -1, 1, 1, -1), (1, 16384)]:
             with pytest.raises(InternalError):
                 alexander_poly(SeifertMatrix(diagonal))

@@ -67,9 +67,10 @@ class TestSurgerySlope:
         assert SurgerySlope.parse("-1/2") == SurgerySlope(-1, 2)
         assert SurgerySlope.parse("4") == SurgerySlope(4, 1)
         assert SurgerySlope.parse("1/0").is_meridian
+        assert SurgerySlope.parse(" +7 / 2 ") == SurgerySlope(7, 2)
 
     def test_parse_rejects_non_integers(self):
-        for bad in ["abc", "1/x", "3/", "1.5", "1/2/3", ""]:
+        for bad in ["abc", "1/x", "3/", "1.5", "1/2/3", "", "1_0/3", "\u0667/2", "7/\u0662"]:
             with pytest.raises(DomainError):
                 SurgerySlope.parse(bad)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -217,6 +218,14 @@ class TestGoldenDigests:
              "261c6cc686df8ffea5793a97d30f423dbc23bc3e607d5aa7ec884ed9fa659885"),
             (["slopes", "S(9227465,3524578)", "--json"],
              "022202de10417d156f6d946bcb5676057d201eec3176ab8e18e7c4057d3aaefd"),
+            # recorded before the census became one integer pass per knot
+            # (band loop, one memo fill, one payload builder)
+            (["obstruct", "--census", "12"],
+             "8d7c94b77b195a8941a23819b204f90696491d0db5cbbe2a7a590d5793124e66"),
+            (["obstruct", "--census", "12", "--jsonl"],
+             "1fb227ff4791ddda0adfd3113fd66e5451191f0b2e3ab05b277348d0c7e0a191"),
+            (["obstruct", "--census", "12", "--json"],
+             "8cc5cd4be24bd26597d211b19796c20a672998a751728495ef6d04b79551bcd3"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -328,11 +337,34 @@ class TestObstruct:
             assert run(argv) == 0
             assert len(capsys.readouterr().out.splitlines()) == count, filters
 
+    def test_filter_takes_json_spellings(self, capsys):
+        # a field matches its Python str() or its JSON text
+        def kept(spelling):
+            assert run(["obstruct", "--census", "9", "--jsonl", "--filter", spelling]) == 0
+            return capsys.readouterr().out
+
+        assert kept("mirrored=false") == kept("mirrored=False") != ""
+        assert kept("mirrored=true") == kept("mirrored=True") != ""
+        assert kept("name=null") == kept("name=None") != ""
+        assert kept('schubert={"alpha": 49, "beta": 18}') == kept(
+            "schubert={'alpha': 49, 'beta': 18}"
+        ) != ""
+        assert kept('caveats=["rules out only surgery pairs yielding homology 3-spheres"]') != ""
+
+    def test_casson_difference_serialized_from_twice_its_value(self):
+        # the census carries 2 * casson_difference as an integer; no
+        # census knot up to 16 crossings has an odd one, so check the
+        # half-integer branch against the Fraction route here
+        import twobridge.cli as cli
+
+        for twice in range(-7, 8):
+            assert cli._half(twice) == cli._rat(Fraction(twice, 2))
+
     def test_filter_fields_are_the_report_keys(self):
         import twobridge.cli as cli
-        from twobridge import obstruct
+        from twobridge.obstruction import _unsorted_census
 
-        payload = cli._report_payload(obstruct(SchubertForm(49, 18)))
+        payload = cli._report_payload(next(_unsorted_census(3)))
         assert tuple(payload) == cli._REPORT_FIELDS
 
     def test_census_over_limit_exits_2_at_once(self, capsys):
@@ -450,6 +482,45 @@ class TestExpansionLimit:
         doc = _json_out(capsys, ["slopes", "S(100001,100000)", "--json"])
         assert time.perf_counter() - start < 5
         assert max(len(r["cf"]) for r in doc["payload"]["records"]) == 100001
+
+
+class TestAsciiDigits:
+    # int() also takes "_" digit separators and the digits of other
+    # scripts, and so does the regex \d; the grammar is ASCII digits with
+    # an optional sign and surrounding whitespace
+    @pytest.mark.parametrize("slope", ["1_0/3", "\u0667/2", "7/\u0662", "1/2_0"])
+    def test_slope_exits_2(self, capsys, slope):
+        assert run(["casson", "9_27", slope]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse surgery slope {slope!r} (want p/q or p)\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["S(\u0664\u0669,\u0661\u0669)", "S(49,1\u0669)", "C[\u0662,\u0662]",
+         "\u0669_\u0662\u0667", "S(4_9,19)"],
+    )
+    def test_knot_spec_exits_2(self, capsys, spec):
+        assert run(["info", spec]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse knot spec {spec!r} (want S(a,b), C[...], or a name)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["info", "--kx", "\u0662"], ["info", "--kx", "1_0"], ["obstruct", "--census", "\u0665"]],
+    )
+    def test_integer_option_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_sign_and_whitespace_still_accepted(self, capsys):
+        assert run(["casson", "9_27", "7/2"]) == 0
+        plain = capsys.readouterr().out
+        for slope in ["+7/2", " 7 / 2 ", "7/+2"]:
+            assert run(["casson", "9_27", slope]) == 0
+            assert capsys.readouterr().out == plain
+        assert run(["info", "--kx", "+2"]) == 0
 
 
 class TestExitCodes:

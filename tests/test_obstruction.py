@@ -7,16 +7,24 @@ from twobridge import (
     CENSUS_MAX_CROSSINGS,
     DomainError,
     Equivalence,
+    ObstructionReport,
     SchubertForm,
     Verdict,
+    alexander_second_derivative,
     census,
     classify,
+    conway_even_form,
+    cosmetic_difference,
     crossing_number,
     equivalent,
     knot_name,
     kx_family,
     niwu_candidate_slopes,
     obstruct,
+    preferred_form,
+    seifert_from_conway,
+    signature,
+    slope_weights,
 )
 from twobridge import slopes
 from twobridge.obstruction import _class_representatives, class_key
@@ -195,17 +203,58 @@ class TestCensus:
         # (alpha, beta) up to Fib(N+1)
         scanned = scan_census_classes(13)
         for n in range(3, 14):
-            forms = list(_class_representatives(n))
-            got = {(f.alpha, class_key(f.alpha, f.beta), crossing_number(f)) for f in forms}
-            assert len(got) == len(forms)
+            classes = list(_class_representatives(n))
+            got = {
+                (alpha, class_key(alpha, key), crossing_number(SchubertForm(alpha, key)))
+                for alpha, key, _ in classes
+            }
+            assert len(got) == len(classes)
             assert got == {c for c in scanned if c[2] <= n}
+            # the walk yields the class key and, as its tail sum, the
+            # crossing number
+            assert got == set(classes)
+
+    def test_census_matches_the_public_layers(self):
+        # the census kernel (integer tail walk, one band loop, one memo
+        # fill read as two sums) against reports composed from the public
+        # layers, over the classes of the scan
+        expected = []
+        for alpha, key, _ in scan_census_classes(13):
+            canonical, mirrored = preferred_form(SchubertForm(alpha, key))
+            matrix = seifert_from_conway(conway_even_form(canonical))
+            delta_second = alexander_second_derivative(matrix)
+            sigma = signature(matrix)
+            diff = cosmetic_difference(slope_weights(canonical))
+            verdict = classify(delta_second, sigma, diff)
+            caveats = {
+                Verdict.NO_HOMOLOGY_SPHERE_COSMETIC_SL2C: (
+                    "rules out only surgery pairs yielding homology 3-spheres",
+                ),
+                Verdict.INCONCLUSIVE: ("no obstruction fired; cosmetic surgeries are not excluded",),
+            }.get(verdict, ())
+            expected.append(
+                ObstructionReport(
+                    knot=canonical,
+                    mirrored=mirrored,
+                    name=knot_name(canonical),
+                    crossing_number=crossing_number(canonical),
+                    delta_second=delta_second,
+                    sigma=sigma,
+                    casson_difference=diff,
+                    verdict=verdict,
+                    caveats=caveats,
+                )
+            )
+        expected.sort(key=lambda r: (r.knot.alpha, r.knot.beta))
+        assert len(expected) == 1 + 1 + 2 + 3 + 7 + 12 + 24 + 45 + 91 + 176 + 352
+        assert census(13) == expected
 
     def test_shared_memo_matches_a_fresh_memo_per_knot(self):
         # census shares one slope memo across its knots; obstruct starts
         # from an empty one
         for n in range(3, 14):
             fresh = sorted(
-                (obstruct(f) for f in _class_representatives(n)),
+                (obstruct(SchubertForm(alpha, key)) for alpha, key, _ in _class_representatives(n)),
                 key=lambda r: (r.knot.alpha, r.knot.beta),
             )
             assert census(n) == fresh, n

@@ -13,11 +13,13 @@ from twobridge import (
     SchubertForm,
     apply_substitutions,
     cf_eval,
+    conway_even_form,
     enumerate_bscf,
     kx_family,
     kx_simple_cf,
     mmr_substitution_enumerate,
     pattern_counts,
+    seifert_from_conway,
     simple_cf,
     slope_of,
     slope_weights,
@@ -216,6 +218,35 @@ class TestSlopeWeights:
             got = slope_weights(s).weights
             assert got == enumerate_bscf(s).weights, s
             assert sum(w for _, w in got) == s.alpha
+
+
+    def test_band_longitude_is_the_all_even_record(self):
+        # the sign sum of the Seifert diagonal, which the band loop carries
+        # and the slope reads take as the longitude, is n+ - n- of the one
+        # all-even expansion that enumerate_bscf lists
+        from twobridge.alexander import _band
+
+        for alpha in range(3, 300, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                s = SchubertForm(alpha, beta)
+                longitude = enumerate_bscf(s).longitude
+                diagonal = seifert_from_conway(conway_even_form(s)).diagonal
+                assert _band(diagonal)[5] == longitude.n_plus - longitude.n_minus, s
+
+
+    def test_memo_is_cleared_at_the_cap(self, monkeypatch):
+        # a memo shared across knots stays bounded: once it holds
+        # MEMO_CAP states the next fill starts from an empty one
+        monkeypatch.setattr(slopes, "MEMO_CAP", 20)
+        memo = {}
+        sizes = []
+        for beta in range(2, 301, 2):
+            if math.gcd(301, beta) == 1:
+                slopes._root_children(301, beta, memo)
+                sizes.append(len(memo))
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 class TestSubstitutions:
