@@ -235,7 +235,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
     # value always describes the input knot.
     r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
     conway = conway_even_form(canonical)
-    weights = _slope_weights(canonical, _band(_seifert_diagonal(conway.entries))[5], {})
+    weights = _slope_weights(canonical, _band(_seifert_diagonal(conway.entries))[5])
     seminorm = total_seminorm(weights, r_eff)
     if r.p % 2 == 0:
         value = seminorm / 2

@@ -26,7 +26,15 @@ from .alexander import (
 )
 from .casson import SurgerySlope, lambda_surgery
 from .errors import DomainError, MeridianError
-from .obstruction import CAVEATS, NAMED_FORMS, _unsorted_census, knot_name, obstruct
+from .obstruction import (
+    CAVEATS,
+    KNOT_NAMES,
+    NAMED_FORMS,
+    Verdict,
+    _unsorted_census,
+    knot_name,
+    obstruct,
+)
 from .rational import (
     ContinuedFraction,
     ConwayForm,
@@ -132,6 +140,33 @@ def _report_payload(values: tuple) -> dict:
         "verdict": verdict.value,
         "caveats": list(CAVEATS.get(verdict, ())),
     }
+
+
+# The JSON text of the fixed parts of a census --jsonl line, as json.dumps
+# writes them: the document's head, the knot names, and per verdict its
+# value and caveats with the closing braces.
+_JSONL_HEAD = json.dumps(_document("obstruct", {}))[:-3]  # all before the payload's "{"
+_JSON_NAMES = {None: "null"} | {name: json.dumps(name) for name in KNOT_NAMES.values()}
+_JSONL_TAILS = {
+    verdict: f'"verdict": {json.dumps(verdict.value)},'
+             f' "caveats": {json.dumps(list(CAVEATS.get(verdict, ())))}}}}}'
+    for verdict in Verdict
+}
+
+
+def _census_jsonl(values: tuple) -> str:
+    """The --jsonl line of one census knot, byte for byte what json.dumps
+    gives for _document("obstruct", _report_payload(values)), without
+    building the payload."""
+    alpha, beta, mirrored, name, crossings, delta_second, sigma, twice, verdict = values
+    diff = twice // 2 if twice % 2 == 0 else f'"{twice}/2"'  # as _half
+    return (
+        f'{_JSONL_HEAD}{{"name": {_JSON_NAMES[name]},'
+        f' "schubert": {{"alpha": {alpha}, "beta": {beta}}},'
+        f' "mirrored": {"true" if mirrored else "false"}, "crossing_number": {crossings},'
+        f' "delta_second": {delta_second}, "sigma": {sigma}, "casson_difference": {diff}, '
+        + _JSONL_TAILS[verdict]
+    )
 
 
 def _print_kv(pairs) -> None:
@@ -307,16 +342,16 @@ def _cmd_obstruct(args) -> int:
         filters = _parse_filters(args.filter)  # before the census does any work
         array = args.json and not args.jsonl  # --jsonl wins over --json
         # (alpha, beta, finished line) per kept knot, or the payload for a
-        # JSON array; neither reports nor throw-away payloads are built
+        # JSON array; payloads only for --json and --filter, no reports
         rows = []
         for v in _unsorted_census(args.census):
-            p = _report_payload(v) if array or args.jsonl or filters else None
+            p = _report_payload(v) if array or filters else None
             if filters and not _matches(p, filters):
                 continue
             if array:
                 entry = p
             elif args.jsonl:
-                entry = json.dumps(_document("obstruct", p))
+                entry = _census_jsonl(v)
             else:
                 entry = _census_text(v)
             rows.append((v[0], v[1], entry))

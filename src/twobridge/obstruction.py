@@ -93,11 +93,10 @@ def obstruct(s: SchubertForm) -> ObstructionReport:
     """Run all three obstructions on one knot and report the verdict."""
     canonical, mirrored = preferred_form(s)
     return _report(_values(canonical.alpha, canonical.beta, mirrored, knot_name(canonical),
-                           crossing_number(canonical), {}))
+                           crossing_number(canonical)))
 
 
-def _values(alpha: int, beta: int, mirrored: bool, name: str | None, crossings: int,
-            memo: dict) -> tuple:
+def _values(alpha: int, beta: int, mirrored: bool, name: str | None, crossings: int) -> tuple:
     """The kernel: the values of the report on S(alpha, beta), a preferred
     form, as the plain tuple
 
@@ -107,15 +106,16 @@ def _values(alpha: int, beta: int, mirrored: bool, name: str | None, crossings: 
     where twice_difference = 2 * casson_difference is an integer and the
     caveats are CAVEATS.get(verdict, ()).  One band loop over the Seifert
     diagonal gives Delta''(1), the signature and the longitude's sign
-    sum; the slope walk reads and fills memo (see
-    slopes._root_children), which a census shares across its knots.
+    sum; one pass over the Euclid quotients of alpha/beta gives the two
+    weight sums (see slopes._weight_sides).  Nothing is shared between
+    knots.
     """
     unit, odd, second, sigma, _, longitude, vanishing = _band(
         _seifert_diagonal(_even_entries(alpha, beta))
     )
     delta_second = _delta_second(unit, odd, second)
     sigma = _signature(sigma, vanishing)
-    negative, positive = _weight_sides(alpha, beta, longitude, memo)
+    negative, positive = _weight_sides(alpha, beta, longitude)
     twice = negative - positive
     return (alpha, beta, mirrored, name, crossings, delta_second, sigma, twice,
             classify(delta_second, sigma, twice))
@@ -193,12 +193,11 @@ def knot_name(s: SchubertForm) -> str | None:
 
 
 # census(N) reports about 2^(N-2)/3 knots, and the time per knot grows
-# slowly with N: `obstruct --census N --jsonl` takes 0.47 s of CPU time
-# at N = 16 (22.4 MB peak RSS), 1.7 s at N = 18 (37 MB) and 8.3 s at
-# N = 20 (87,722 knots, 71 MB) as a child process on a 2-CPU x86_64
-# container with Python 3.11.  Memory is the slope memo, at most
-# slopes.MEMO_CAP states (it was cleared once at N = 18 and 13 times at
-# N = 20), plus one output line per knot.
+# slowly with N: `obstruct --census N --jsonl` takes 0.96 s of CPU time
+# at N = 18 (27.7 MB peak RSS) and 3.5 s at N = 20 (87,722 knots,
+# 61 MB) as a child process on a 2-CPU x86_64 container with Python
+# 3.11.  No state is shared between knots, so memory is one output line
+# per knot.
 CENSUS_MAX_CROSSINGS = 20
 
 
@@ -244,20 +243,18 @@ def _unsorted_census(max_crossings: int) -> Iterator[tuple]:
     """The values (see _values) of the reports of census(max_crossings),
     one knot at a time in the order of the tail walk, so a caller can
     keep less than the reports.  The bound is checked at the call, before
-    any work.  All knots share one slope memo, which slopes.MEMO_CAP
-    bounds."""
+    any work."""
     if max_crossings < 3:
         raise DomainError(f"max_crossings must be >= 3, got {max_crossings}")
     if max_crossings > CENSUS_MAX_CROSSINGS:
         raise DomainError(
             f"census is limited to {CENSUS_MAX_CROSSINGS} crossings, got {max_crossings}"
         )
-    memo: dict = {}
-    return (_class_values(alpha, key, crossings, memo)
+    return (_class_values(alpha, key, crossings)
             for alpha, key, crossings in _class_representatives(max_crossings))
 
 
-def _class_values(alpha: int, key: int, crossings: int, memo: dict) -> tuple:
+def _class_values(alpha: int, key: int, crossings: int) -> tuple:
     """_values for the knot class S(alpha, key), key its class key: the
     preferred form of preferred_form on integers.  The key is the least of
     the four presentations, so for an even key no inverse is smaller; an
@@ -270,4 +267,4 @@ def _class_values(alpha: int, key: int, crossings: int, memo: dict) -> tuple:
         inverse = alpha - pow(key, -1, alpha)
         if inverse % 2 == 0 and inverse < beta:
             beta = inverse
-    return _values(alpha, beta, mirrored, KNOT_NAMES.get((alpha, key)), crossings, memo)
+    return _values(alpha, beta, mirrored, KNOT_NAMES.get((alpha, key)), crossings)

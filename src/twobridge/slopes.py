@@ -2,15 +2,16 @@
 
 Every boundary slope of S(alpha, beta) comes from a continued fraction
 expansion of beta/alpha whose tail terms all have absolute value >= 2
-(a "boundary slope continued fraction").  Two searches share one
-floor/ceiling step (_step), and a third route checks them:
+(a "boundary slope continued fraction").  Three routes compute them:
 
-  * enumerate_bscf: depth-first listing of all such expansions, linear
-    in the terms it lists, which MAX_EXPANSION_TERMS bounds;
-  * slope_weights: the {slope: total weight} distribution alone, from
-    the same search memoised on its residual targets, so its cost
-    follows the number of distinct residuals rather than the number of
-    expansions (which grows exponentially in crossing number);
+  * enumerate_bscf: depth-first listing of all such expansions by the
+    floor/ceiling step _step, linear in the terms it lists, which
+    MAX_EXPANSION_TERMS bounds;
+  * slope_weights: the {slope: total weight} distribution alone, from a
+    two-state recurrence over the Euclid quotients of alpha/beta (see
+    _roots), so its cost follows the number of quotients and of distinct
+    sign sums rather than the number of expansions (which grows
+    exponentially in crossing number) or the size of the terms;
   * mmr_substitution_enumerate: rewriting of the simple continued
     fraction by local substitutions at non-adjacent positions, the
     independent cross-check (it must agree set-wise with enumerate_bscf).
@@ -133,19 +134,21 @@ def _step(n: int, d: int) -> tuple[int, list[tuple[tuple[int, int], int, int]]]:
 # enumerate_bscf lists at most this many terms over all expansions of a
 # knot, integer parts included: length times number bounds time and
 # memory.  `slopes --json` takes 1.2 s and 87 MB on the 406,815 terms of
-# S(36395631,26336126); the slowest refusal, a 4,300-digit S(n+1,n), 2.9 s
-# (2-CPU x86_64, Python 3.11).
+# S(36395631,26336126) (2-CPU x86_64, Python 3.11).  A forced run that
+# would pass it is refused where it starts: a 4,300-digit S(n+1,n) in
+# about 5 ms.
 MAX_EXPANSION_TERMS = 500_000
 
 
 def _expansions(s: SchubertForm, depth_limit: int) -> list[tuple[int, ...]]:
     """Term lists of every expansion of beta/alpha with tail terms |a| >= 2.
 
-    Walks the states of _step depth-first from the roots of
-    _root_children with the target's sign, which the ceiling flips; a
-    term is that sign times the folded term.  One path is cut back on
-    each pop, so the work is linear in the terms listed; DomainError as
-    soon as they must pass MAX_EXPANSION_TERMS.
+    Walks the states of _step depth-first from the two roots, alpha/beta
+    and -alpha/(alpha - beta) (integer parts 0 and 1), with the target's
+    sign, which the ceiling flips; a term is that sign times the folded
+    term.  One path is cut back on each pop, so the work is linear in the
+    terms listed; DomainError as soon as they must pass
+    MAX_EXPANSION_TERMS, at the start of a forced run at the latest.
     """
     out: list[tuple[int, ...]] = []
     listed = 0
@@ -159,7 +162,11 @@ def _expansions(s: SchubertForm, depth_limit: int) -> list[tuple[int, ...]]:
         path.append(term)
         if depth >= depth_limit:
             raise InternalError("expansion depth exceeded the term-sum bound")
-        if listed + depth + 2 > MAX_EXPANSION_TERMS:  # expansions from here have >= depth + 2 terms
+        # expansions from here have >= depth + 2 terms, and a target with
+        # q = 1 (d < n < 2d) starts a forced run of ceil(d / (n - d)) - 1
+        # ceilings, so those from it have that many more
+        room = MAX_EXPANSION_TERMS - listed - depth - 2
+        if room < 0 or (n < 2 * d and d > (n - d) * (room + 1)):
             raise DomainError(
                 f"boundary-slope expansions are limited to {MAX_EXPANSION_TERMS} terms"
                 " in total; this knot's have more"
@@ -226,84 +233,165 @@ def slope_weights(s: SchubertForm) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form.
 
     See _slope_weights, which this calls with the longitude's sign sum
-    from the band loop over the even Conway form of s and a fresh memo.
+    from the band loop over the even Conway form of s.
     """
     if s.beta % 2 != 0:
         raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
     longitude = _band(_seifert_diagonal(conway_even_form(s).entries))[5]
-    return _slope_weights(s, longitude, {})
+    return _slope_weights(s, longitude)
 
 
-# A memo shared by many walks (one census) is cleared before a walk once
-# it holds this many states, about 16 MB (some 500 bytes a state).  A
-# census up to 17 crossings never reaches it (20,543 states at N = 17);
-# N = 18 reaches it once, near its end.
-MEMO_CAP = 32768
-
-
-def _fill(stack: list[tuple[int, int]], memo: dict[tuple[int, int], dict[int, int]]) -> None:
-    """Put the distribution of every key on the stack, and of every state
-    below it, into memo.
-
-    Walks the states of _step, memoised: memo[(n, d)] maps the sum of the
-    sign steps n+ - n- over the rest of an expansion from the target n/d
-    at an odd position to the total weight of the expansions with that
-    sum (-n/d at an even position has the same map, the other two cases
-    its reflection {-total: w}).  Iterative with an explicit stack,
-    because expansions can run to thousands of terms.
-    """
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        q, children = _step(*key)
-        if not children:
-            stack.pop()
-            memo[key] = {1: q - 1}
-            continue
-        pending = [child for child, _, _ in children if child not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        dist: dict[int, int] = {}
-        for child, a, sign in children:  # every term a is positive at an odd position
-            for total, w in memo[child].items():
-                dist[1 + sign * total] = dist.get(1 + sign * total, 0) + w * (a - 1)
-        memo[key] = dist
-
-
-# The distribution below a last term: one empty sum of weight 1.
-_END = {0: 1}
-
-
-def _root_children(alpha: int, beta: int, memo: dict[tuple[int, int], dict[int, int]]
-                   ) -> tuple[list[tuple[dict[int, int], int, int]], ...]:
-    """The memo fill for S(alpha, beta), beta even: the children (child's
-    distribution, term, sign of the child's sums) of its two roots, one
-    per integer part 0 and 1, with every state below them in memo.
-
-    The roots' own distributions are never stored: no other census knot
-    starts there, and few walks pass through them, so each read merges
-    the children itself (a last term q reads as the child _END).  A
-    state's distribution depends on its key alone, so one memo can serve
-    many knots and any entry may be dropped; the memo is cleared before
-    the fill once it holds MEMO_CAP states.
-    """
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
+def _quotients(alpha: int, beta: int) -> list[int]:
+    """The Euclid quotients a_1, ..., a_k of alpha/beta = [a_1; a_2, ..., a_k]."""
     out = []
-    # residual targets 1/(beta/alpha - c) for integer parts c = 0, 1:
-    # alpha/beta, and -alpha/(alpha - beta), the reflection of its key
-    for root in ((alpha, beta), (alpha, alpha - beta)):
-        q, children = _step(*root)
-        if not children:
-            out.append([(_END, q, 1)])
-            continue
-        _fill([child for child, _, _ in children if child not in memo], memo)
-        out.append([(memo[child], a, sign) for child, a, sign in children])
-    return tuple(out)
+    while beta:
+        q, rem = divmod(alpha, beta)
+        out.append(q)
+        alpha, beta = beta, rem
+    return out
+
+
+# The packed route runs while a distribution, 2 * frame + 1 lanes of w
+# bits, takes at most this many bits.  Each level then costs a few
+# shifts, adds and small multiplies of ints this size, and there are at
+# most about sqrt(PACKED_BITS) levels (alpha >= Fib(k) makes w grow with
+# k), so the route is bounded with no count of its own.  At the bound the
+# two routes are within 2x of each other: packed is 1.7-2x slower on
+# C[4,...,4] (few sums per level, wide frame) and 2x faster on random
+# small-entry knots (2-CPU x86_64, Python 3.11).  Every census knot and
+# every benchmark input takes this route; a census knot needs well under
+# a thousand bits.
+PACKED_BITS = 1 << 20
+
+# The sparse route counts the entries of the distributions it builds,
+# each weighted by the 64-bit words of alpha (a weight's size), and
+# raises DomainError before a level that would pass this many, or whose
+# entries held at once (the three kept states and the new level) could
+# pass a quarter of it.  The first count bounds time, the second memory:
+# C[4]^2000 builds 2,001,000 entries of 66 words (132 M) in 3.2 s at
+# 24 MB peak RSS, and C[4]^10000 is refused after 0.75 s.  Knots whose
+# sums rarely collide (random genus 12-16 with 20-30 digit entries,
+# millions of slopes) are refused within 1.1 s at 225 MB; at genus 10
+# they finish in 0.4 s at 80 MB (2-CPU x86_64, Python 3.11).
+MAX_SLOPE_WORK = 1 << 27
+
+
+def _roots(alpha: int, beta: int) -> tuple[tuple[int, int], int, tuple]:
+    """The weight distributions of the two roots of S(alpha, beta), beta
+    even, as ((low_0, low_1), w, (root_0, root_1)).
+
+    A sign sum t of an expansion from a root is n+ - n- over its tail; it
+    has slope 2(t - longitude).  Let P_{j,c}(x) be the sum of W x^t over
+    the expansions from the target [a_j + c; a_(j+1), ..., a_k].  The
+    first term of such an expansion is the floor a_j + c, of weight
+    a_j + c - 1, which leaves -[a_(j+1); ...] at an even position and so
+    reflects the sums; or the ceiling, of weight a_j + c, after which the
+    walk is forced through a_(j+1) - 1 ceilings of term 2 (weight 1, sum
+    step +1) down to [a_(j+2) + 1; ...].  These are the local rewrites
+    of the simple continued fraction at non-adjacent positions (the MMR
+    rule, see apply_substitutions).  So
+
+        P_{j,c}(x) = (a_j + c - 1) x P_{j+1,0}(1/x)
+                     + (a_j + c) x^(a_(j+1)) P_{j+2,1}(x),
+
+    with P_{k+1,c} = 1 and P_{k+2,1} = 0, and the knot's distribution is
+    P_{1,0}(x) + x^(1 - a_1) P_{2,1}(1/x).  Only P_j(x) at odd j and
+    P_j(1/x) at even j are ever read, so with Q_j those, one right-to-left
+    pass of
+
+        Q_{j,c} = (a_j + c - 1) x^s Q_{j+1,0} + (a_j + c) x^(s a_(j+1)) Q_{j+2,1},
+
+    s = +1 at odd j and -1 at even j, keeps the last three states;
+    root_0 = Q_{1,0} and root_1 = Q_{2,1}, whose sums are offset by
+    1 - a_1.
+
+    Two evaluations of the same pass:
+      * packed (w > 0), when the lanes fit PACKED_BITS: each Q is one int
+        at x = 2^w, lane i holding the weight of sum low + i for the
+        root's low, so x^s is a shift (Kronecker packing, as in
+        alexander_poly);
+      * sparse (w = 0): {sum: weight} dicts, root sums offset by low; the
+        only route for big terms, within MAX_SLOPE_WORK.
+    """
+    a = _quotients(alpha, beta)
+    # every sum of every Q lies in [-frame, frame]: by the recurrence, the
+    # sums of Q_j are at most 1 + a_(j+1) + ... + a_k in absolute value,
+    # and a_1 enters only as a weight and the offset
+    frame = 1 + sum(a) - a[0]
+    # The weights of the expansions from a target n/d sum to n, and every
+    # target the pass reads has n <= alpha (every such state's sum is at
+    # most alpha on all 36,468 even forms with alpha < 600; Q_{1,1} is
+    # computed but never read), so every lane of those states, and any
+    # sum of their lanes, stays below 2^(w-2): no lane carries into the
+    # next, and a set of lanes is summed mod 2^w - 1 (see _weight_sides).
+    # Whole bytes, for to_bytes.
+    w = 8 * ((alpha.bit_length() + 9) // 8)
+    if (2 * frame + 1) * w <= PACKED_BITS:
+        return (-frame, 1 - a[0] - frame), w, _packed(a, w, frame)
+    return (0, 1 - a[0]), 0, _sparse(a, alpha.bit_length() // 64 + 1)
+
+
+def _packed(a: list[int], w: int, frame: int) -> tuple[int, int]:
+    """(Q_{1,0}, Q_{2,1}) of _roots at x = 2^w, the sum t in lane t + frame."""
+    q0 = q1 = 1 << (frame * w)  # Q_{k+1,0} = Q_{k+1,1} = 1
+    q1_next = 0  # Q_{k+2,1}
+    after = 0  # a_(j+1)
+    up = len(a) % 2  # s = +1 at odd j
+    for aj in reversed(a):
+        # x^-1 is a right shift, exact because every sum stays in the frame
+        if up:
+            floor, ceiling = q0 << w, q1_next << after * w
+        else:
+            floor, ceiling = q0 >> w, q1_next >> after * w
+        up = not up
+        both = floor + ceiling
+        q1_next, q1 = q1, aj * both + ceiling  # (a_j + c - 1) floor + (a_j + c) ceiling at c = 1
+        q0 = q1 - both
+        after = aj
+    return q0, q1_next
+
+
+def _sparse(a: list[int], words: int) -> tuple[dict[int, int], dict[int, int]]:
+    """(Q_{1,0}, Q_{2,1}) of _roots as {sum: weight}; each level's entries
+    count words toward MAX_SLOPE_WORK, checked before the level is built."""
+    q0, q1, q1_next = {0: 1}, {0: 1}, {}
+    after = work = 0
+    s = 1 if len(a) % 2 else -1
+    for aj in reversed(a):
+        bound = len(q0) + len(q1_next)  # the sums of the new level
+        held = 3 * bound + len(q1)  # q0, q1, q1_next and the new level
+        if work + bound * words > MAX_SLOPE_WORK or held * words > MAX_SLOPE_WORK // 4:
+            raise DomainError(
+                f"slope weights are limited to {MAX_SLOPE_WORK} distribution entries"
+                " times 64-bit words of alpha (a quarter of that held at once);"
+                " this knot needs more"
+            )
+        n0, n1 = {}, {}
+        for t, v in q0.items():  # the floor, at a sum step s
+            t += s
+            if aj > 1:
+                n0[t] = (aj - 1) * v
+            n1[t] = aj * v
+        shift = s * after
+        for t, v in q1_next.items():  # the ceiling and its forced run
+            t += shift
+            n0[t] = n0.get(t, 0) + aj * v
+            n1[t] = n1.get(t, 0) + (aj + 1) * v
+        work += len(n1) * words
+        q1_next, q0, q1 = q1, n0, n1
+        after = aj
+        s = -s
+    return q0, q1_next
+
+
+def _entries(root, w: int):
+    """(offset, weight) of every nonzero weight of a root of _roots."""
+    if not w:
+        return root.items()
+    lane = w // 8
+    data = root.to_bytes((root.bit_length() + 7) // 8 // lane * lane + lane, "little")
+    return ((i // lane, v) for i in range(0, len(data), lane)
+            if (v := int.from_bytes(data[i:i + lane], "little")))
 
 
 def _check_weights(alpha: int, beta: int, total: int, at_longitude: int) -> None:
@@ -314,52 +402,56 @@ def _check_weights(alpha: int, beta: int, total: int, at_longitude: int) -> None
         raise InternalError(f"no weight at the longitude slope 0 for S({alpha},{beta})")
 
 
-def _slope_weights(s: SchubertForm, longitude: int,
-                   memo: dict[tuple[int, int], dict[int, int]]) -> SlopeWeights:
+def _slope_weights(s: SchubertForm, longitude: int) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form s,
     given the longitude's sign sum (see alexander._band), which anchors
-    the slopes: the fill of _root_children, read as the sorted
-    {slope: total weight} distribution.  A sign sum t from the root of
-    integer part 0 (1) has slope 2(t - longitude) (2(-t - longitude)).
-    Both checks of _check_weights are made.
+    the slopes: the roots of _roots read as the sorted {slope: total
+    weight} distribution.  Both checks of _check_weights are made.
     """
+    lows, w, roots = _roots(s.alpha, s.beta)
     totals: dict[int, int] = {}
-    for children, root_sign in zip(_root_children(s.alpha, s.beta, memo), (1, -1)):
-        for dist, a, sign in children:
-            for total, w in dist.items():
-                slope = 2 * (root_sign * (1 + sign * total) - longitude)
-                totals[slope] = totals.get(slope, 0) + w * (a - 1)
+    for low, root in zip(lows, roots):
+        for t, v in _entries(root, w):
+            slope = 2 * (low + t - longitude)
+            totals[slope] = totals.get(slope, 0) + v
     _check_weights(s.alpha, s.beta, sum(totals.values()), totals.get(0, 0))
     return SlopeWeights(knot=s, weights=tuple(sorted(totals.items())))
 
 
-def _weight_sides(alpha: int, beta: int, longitude: int,
-                  memo: dict[tuple[int, int], dict[int, int]]) -> tuple[int, int]:
-    """(sum_{N<0} W, sum_{N>0} W) for S(alpha, beta), beta even: the fill
-    of _root_children read as two sums, with the checks of
-    _check_weights.  Only the comparison of a root's sign sum with the
-    longitude counts (see _slope_weights).
+def _weight_sides(alpha: int, beta: int, longitude: int) -> tuple[int, int]:
+    """(sum_{N<0} W, sum_{N>0} W) for S(alpha, beta), beta even: the roots
+    of _roots read as two sums, with the checks of _check_weights.  Only
+    the comparison of a sum with the longitude counts.  A packed root of
+    narrow lanes is read by lane masks: 2^w = 1 mod 2^w - 1, so an int
+    mod 2^w - 1 is the sum of its lanes, which _roots keeps below
+    2^w - 1.  That division is linear only for a divisor of a few words,
+    so wider lanes are read one by one.
     """
-    negative = positive = at_longitude = 0
-    for children, root_sign in zip(_root_children(alpha, beta, memo), (1, -1)):
-        for dist, a, sign in children:
-            # root_sign * (1 + sign * total) against longitude
-            sign *= root_sign
-            bound = longitude - root_sign
-            below = above = at = 0
-            for total, w in dist.items():
-                total *= sign
-                if total < bound:
-                    below += w
-                elif total > bound:
-                    above += w
-                else:
-                    at += w
-            negative += below * (a - 1)
-            positive += above * (a - 1)
-            at_longitude += at * (a - 1)
-    _check_weights(alpha, beta, negative + positive + at_longitude, at_longitude)
-    return negative, positive
+    lows, w, roots = _roots(alpha, beta)
+    negative = total = at_longitude = 0
+    if 0 < w <= 64:
+        ones = (1 << w) - 1
+        for low, root in zip(lows, roots):
+            part = root % ones
+            total += part
+            cut = longitude - low  # the longitude's lane
+            if cut * w > root.bit_length():
+                negative += part
+            elif cut >= 0:
+                cut *= w
+                negative += (root & ((1 << cut) - 1)) % ones
+                at_longitude += (root >> cut) & ones
+    else:
+        for low, root in zip(lows, roots):
+            cut = longitude - low
+            for t, v in _entries(root, w):
+                total += v
+                if t < cut:
+                    negative += v
+                elif t == cut:
+                    at_longitude += v
+    _check_weights(alpha, beta, total, at_longitude)
+    return negative, total - negative - at_longitude
 
 
 def apply_substitutions(simple: ContinuedFraction, positions: set[int]) -> ContinuedFraction:

@@ -16,6 +16,9 @@ every divisor of p' up to a degree bound.  The census scan tests every
 continued fraction tails.  The expansion search on signed residuals,
 with its own floor/ceiling candidates and |a| >= 2 filters, lists what
 the package lists by the parity- and sign-folded step of its weight walk.
+The slope weights come from the memoised walk over that step, one term
+at a time, which the two-state recurrence over the Euclid quotients
+replaced.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from twobridge import (
 )
 from twobridge.casson import _cyclotomic, _divides
 from twobridge.obstruction import class_key
-from twobridge.slopes import _sort_key
+from twobridge.slopes import _check_weights, _sort_key, _step
 
 # -- dense integer-polynomial helpers (little-endian coefficient lists) --
 
@@ -329,3 +332,66 @@ def reference_expansions(s: SchubertForm) -> list[tuple[int, ...]]:
         _expansions(num, den, c, term_lists, depth_limit)
     term_lists.sort(key=_sort_key)
     return term_lists
+
+
+def _fill(stack: list[tuple[int, int]], memo: dict[tuple[int, int], dict[int, int]]) -> None:
+    """Put the distribution of every key on the stack, and of every state
+    below it, into memo.
+
+    Walks the states of slopes._step, memoised: memo[(n, d)] maps the sum
+    of the sign steps n+ - n- over the rest of an expansion from the
+    target n/d at an odd position to the total weight of the expansions
+    with that sum (-n/d at an even position has the same map, the other
+    two cases its reflection {-total: w}).  Iterative with an explicit
+    stack, because expansions can run to thousands of terms.
+    """
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        q, children = _step(*key)
+        if not children:
+            stack.pop()
+            memo[key] = {1: q - 1}
+            continue
+        pending = [child for child, _, _ in children if child not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        dist: dict[int, int] = {}
+        for child, a, sign in children:  # every term a is positive at an odd position
+            for total, w in memo[child].items():
+                dist[1 + sign * total] = dist.get(1 + sign * total, 0) + w * (a - 1)
+        memo[key] = dist
+
+
+def reference_slope_weights(alpha: int, beta: int, longitude: int,
+                            memo: dict | None = None) -> tuple[tuple[int, int], ...]:
+    """The sorted (slope, total weight) pairs of S(alpha, beta), beta even,
+    from the walk of _fill under its two roots (integer parts 0 and 1),
+    given the longitude's sign sum.  A sum t from the root of integer part
+    0 (1) has slope 2(t - longitude) (2(-t - longitude)).  A memo may be
+    shared between knots."""
+    memo = {} if memo is None else memo
+    totals: dict[int, int] = {}
+    # residual targets alpha/beta and -alpha/(alpha - beta), the
+    # reflection of its key
+    for root, root_sign in (((alpha, beta), 1), ((alpha, alpha - beta), -1)):
+        q, children = _step(*root)
+        if not children:  # a last term q: one empty sum below it
+            children = [(None, q, 1)]
+        _fill([child for child, _, _ in children if child is not None], memo)
+        for child, a, sign in children:
+            for total, w in (memo[child] if child else {0: 1}).items():
+                slope = 2 * (root_sign * (1 + sign * total) - longitude)
+                totals[slope] = totals.get(slope, 0) + w * (a - 1)
+    _check_weights(alpha, beta, sum(totals.values()), totals.get(0, 0))
+    return tuple(sorted(totals.items()))
+
+
+def weight_sides(weights) -> tuple[int, int]:
+    """(sum_{N<0} W, sum_{N>0} W) of (slope, weight) pairs."""
+    return (sum(w for slope, w in weights if slope < 0),
+            sum(w for slope, w in weights if slope > 0))

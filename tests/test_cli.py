@@ -226,6 +226,13 @@ class TestGoldenDigests:
              "1fb227ff4791ddda0adfd3113fd66e5451191f0b2e3ab05b277348d0c7e0a191"),
             (["obstruct", "--census", "12", "--json"],
              "8cc5cd4be24bd26597d211b19796c20a672998a751728495ef6d04b79551bcd3"),
+            # recorded before the slope weights became one pass over the
+            # Euclid quotients and the --jsonl lines were written from the
+            # values without json.dumps
+            (["obstruct", "--census", "14"],
+             "f4f2d5c763bbccbc403fa550f90d2f16e820695c8412f03114b633cb85ea9202"),
+            (["obstruct", "--census", "16", "--jsonl"],
+             "6dd934bb9f8a318a0e7f9342d8fd2927854fe79c1a79ef009c1991d16c41981a"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -359,6 +366,25 @@ class TestObstruct:
 
         for twice in range(-7, 8):
             assert cli._half(twice) == cli._rat(Fraction(twice, 2))
+
+    def test_jsonl_line_is_json_dumps_of_the_payload(self):
+        # the --jsonl writer formats each line from the kernel values; it
+        # must give json.dumps's bytes for every census knot, and for the
+        # cases no small census has: every verdict with an odd twice
+        import itertools
+
+        import twobridge.cli as cli
+        from twobridge.obstruction import Verdict, _unsorted_census
+
+        values = list(_unsorted_census(12))
+        alpha, beta, mirrored, name, crossings, delta_second, sigma, _, _ = values[0]
+        for verdict, twice, flag, knot in itertools.product(
+            Verdict, (-7, -1, 0, 1, 4), (False, True), (None, "9_27")
+        ):
+            values.append((alpha, beta, flag, knot, crossings, delta_second, sigma, twice, verdict))
+        for v in values:
+            expected = json.dumps(cli._document("obstruct", cli._report_payload(v)))
+            assert cli._census_jsonl(v) == expected
 
     def test_filter_fields_are_the_report_keys(self):
         import twobridge.cli as cli

@@ -26,7 +26,6 @@ from twobridge import (
     signature,
     slope_weights,
 )
-from twobridge import slopes
 from twobridge.obstruction import _class_representatives, class_key
 from dense_oracles import scan_census_classes
 
@@ -215,9 +214,9 @@ class TestCensus:
             assert got == set(classes)
 
     def test_census_matches_the_public_layers(self):
-        # the census kernel (integer tail walk, one band loop, one memo
-        # fill read as two sums) against reports composed from the public
-        # layers, over the classes of the scan
+        # the census kernel (integer tail walk, one band loop, one pass
+        # over the Euclid quotients read as two sums) against reports
+        # composed from the public layers, over the classes of the scan
         expected = []
         for alpha, key, _ in scan_census_classes(13):
             canonical, mirrored = preferred_form(SchubertForm(alpha, key))
@@ -250,20 +249,14 @@ class TestCensus:
         assert census(13) == expected
 
     def test_shared_memo_matches_a_fresh_memo_per_knot(self):
-        # census shares one slope memo across its knots; obstruct starts
-        # from an empty one
+        # the census kernel on the class keys of the tail walk against
+        # obstruct on each knot alone; nothing is shared between knots
         for n in range(3, 14):
             fresh = sorted(
                 (obstruct(SchubertForm(alpha, key)) for alpha, key, _ in _class_representatives(n)),
                 key=lambda r: (r.knot.alpha, r.knot.beta),
             )
             assert census(n) == fresh, n
-
-    def test_memo_eviction_keeps_the_census(self, monkeypatch):
-        monkeypatch.setattr(slopes, "MEMO_CAP", 10**9)
-        uncapped = census(10)
-        monkeypatch.setattr(slopes, "MEMO_CAP", 3)
-        assert census(10) == uncapped
 
     def test_census_validation(self):
         with pytest.raises(DomainError):

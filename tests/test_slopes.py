@@ -1,11 +1,13 @@
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import twobridge.slopes as slopes
-from dense_oracles import reference_expansions
+from dense_oracles import reference_expansions, reference_slope_weights, weight_sides
 from twobridge import (
     ContinuedFraction,
     DomainError,
@@ -25,6 +27,10 @@ from twobridge import (
     slope_weights,
     weight,
 )
+from twobridge.alexander import _band, _even_entries, _seifert_diagonal
+from twobridge.cli import parse_knot_spec
+from twobridge.obstruction import _class_representatives
+from twobridge.rational import preferred_form
 
 # The ten expansions of 18/49 with their sign counts, slopes, and weights.
 # The entry for [1,-2,2,3,-3,2] is (3,2)/+2: that is what the alternating
@@ -178,6 +184,25 @@ class TestEnumerate:
         with pytest.raises(DomainError, match="limited to 58 terms"):
             enumerate_bscf(s)
 
+    def test_term_limit_is_exact_on_a_forced_run(self, monkeypatch):
+        # 4000/4001 = [0; 1, 4000]: the expansions from integer part 0 run
+        # through 3,999 forced ceilings, refused where the run starts
+        s = SchubertForm(4001, 4000)
+        total = sum(len(t) for t in reference_expansions(s))
+        monkeypatch.setattr(slopes, "MAX_EXPANSION_TERMS", total)
+        assert sum(len(r.cf.terms) for r in enumerate_bscf(s).records) == total
+        monkeypatch.setattr(slopes, "MAX_EXPANSION_TERMS", total - 1)
+        with pytest.raises(DomainError, match=f"limited to {total - 1} terms"):
+            enumerate_bscf(s)
+
+    def test_a_forced_run_past_the_limit_is_refused_at_its_start(self):
+        # S(n+1, n) with n of 4,300 digits: one forced run of n - 1 ceilings
+        n = 2 * 10**4299
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="limited to 500000 terms"):
+            slopes._expansions(SchubertForm(n + 1, n), n + 2)
+        assert time.perf_counter() - start < 0.5
+
     def test_runaway_walk_is_an_internal_error(self):
         # the term-sum bound is a fault detector: passing it is a bug
         # (exit 3), never an input error; the longest expansion of
@@ -236,17 +261,109 @@ class TestSlopeWeights:
                 assert _band(diagonal)[5] == longitude.n_plus - longitude.n_minus, s
 
 
-    def test_memo_is_cleared_at_the_cap(self, monkeypatch):
-        # a memo shared across knots stays bounded: once it holds
-        # MEMO_CAP states the next fill starts from an empty one
-        monkeypatch.setattr(slopes, "MEMO_CAP", 20)
-        memo = {}
-        sizes = []
-        for beta in range(2, 301, 2):
-            if math.gcd(301, beta) == 1:
-                slopes._root_children(301, beta, memo)
-                sizes.append(len(memo))
-        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+def _even_forms(limit: int) -> list[tuple[int, int]]:
+    return [
+        (alpha, beta)
+        for alpha in range(3, limit, 2)
+        for beta in range(2, alpha, 2)
+        if math.gcd(alpha, beta) == 1
+    ]
+
+
+def _longitude(alpha: int, beta: int) -> int:
+    return _band(_seifert_diagonal(_even_entries(alpha, beta)))[5]
+
+
+def _big_entry_form(rng: random.Random, genus: int, low: int, high: int) -> tuple[int, int]:
+    """(alpha, even beta) of C[e1, ..., e2g] with even |e_i| in [2 low, 2 high]."""
+    entries = [rng.choice((-2, 2)) * rng.randint(low, high) for _ in range(2 * genus)]
+    s = parse_knot_spec("C[" + ",".join(map(str, entries)) + "]")
+    canonical, _ = preferred_form(s)
+    return canonical.alpha, canonical.beta
+
+
+class TestWeightRoutes:
+    # the packed and the sparse evaluation of the two-state recurrence of
+    # slopes._roots against the one-term-at-a-time memo walk it replaced
+
+    def _check(self, forms, expected):
+        for (alpha, beta, longitude), (weights, sides) in zip(forms, expected):
+            got = slopes._slope_weights(SchubertForm(alpha, beta), longitude).weights
+            assert got == weights, (alpha, beta)
+            assert slopes._weight_sides(alpha, beta, longitude) == sides, (alpha, beta)
+
+    def test_packed_sparse_and_reference_agree_exhaustively(self, monkeypatch):
+        forms = [(alpha, beta, _longitude(alpha, beta)) for alpha, beta in _even_forms(400)]
+        memo: dict = {}
+        expected = []
+        for alpha, beta, longitude in forms:
+            weights = reference_slope_weights(alpha, beta, longitude, memo)
+            expected.append((weights, weight_sides(weights)))
+        assert all(slopes._roots(alpha, beta)[1] for alpha, beta, _ in forms)  # all packed
+        self._check(forms, expected)
+        monkeypatch.setattr(slopes, "PACKED_BITS", 0)
+        assert not any(slopes._roots(alpha, beta)[1] for alpha, beta, _ in forms)
+        self._check(forms, expected)
+
+    def test_sparse_matches_the_reference_on_big_entries(self, monkeypatch):
+        # 2- to 3-digit Conway entries up to genus 8: simple continued
+        # fraction terms in the hundreds, which the reference walks one
+        # term at a time
+        rng = random.Random(8)
+        forms = []
+        for genus in range(1, 9):
+            for _ in range(3):
+                alpha, beta = _big_entry_form(rng, genus, 5, 300 if genus <= 4 else 40)
+                forms.append((alpha, beta, _longitude(alpha, beta)))
+        expected = []
+        for alpha, beta, longitude in forms:
+            weights = reference_slope_weights(alpha, beta, longitude)
+            expected.append((weights, weight_sides(weights)))
+        self._check(forms, expected)  # each on its own route
+        monkeypatch.setattr(slopes, "PACKED_BITS", 0)
+        self._check(forms, expected)
+
+    def test_census_and_deck_sizes_are_packed(self):
+        # every census knot, and 36-crossing knots of small terms, fit the
+        # packed route's bit budget
+        for alpha, key, _ in _class_representatives(14):
+            canonical, _ = preferred_form(SchubertForm(alpha, key))
+            assert slopes._roots(canonical.alpha, canonical.beta)[1]
+        for s in (SchubertForm(9227465, 3524578), kx_family(10)):
+            assert slopes._roots(s.alpha, s.beta)[1]
+
+    def test_big_terms_take_the_sparse_route(self):
+        # S(10^4000 + 1, 2) = [a_1; 2] with a_1 = 5 * 10^3999: a_1 is only a
+        # weight and the second root's offset; its weights in closed form
+        alpha = 10**4000 + 1
+        a1 = (alpha - 1) // 2
+        assert slope_weights(SchubertForm(alpha, 2)).weights == ((-2 * a1, 2), (0, a1 - 1), (4, a1))
+        # packed in lanes of 13,296 bits, read one by one
+        assert slopes._roots(alpha, 2)[1] == 13296
+        assert slopes._weight_sides(alpha, 2, _longitude(alpha, 2)) == (2, a1)
+        for a1 in range(2, 60, 2):  # the same closed form from the reference walk
+            alpha = 2 * a1 + 1
+            weights = reference_slope_weights(alpha, 2, _longitude(alpha, 2))
+            assert weights == ((-2 * a1, 2), (0, a1 - 1), (4, a1))
+        # a term of 100 digits past the first takes the sparse route
+        alpha, beta = 2 * 10**100 + 1, 10**100
+        assert not slopes._roots(alpha, beta)[1]
+        assert slopes._weight_sides(alpha, beta, _longitude(alpha, beta)) == weight_sides(
+            slope_weights(SchubertForm(alpha, beta)).weights
+        )
+
+    def test_sparse_work_limit(self, monkeypatch):
+        # the sparse route refuses before a level that would pass
+        # MAX_SLOPE_WORK entries times words of alpha
+        monkeypatch.setattr(slopes, "PACKED_BITS", 0)
+        s = kx_family(3)
+        expected = slope_weights(s).weights
+        monkeypatch.setattr(slopes, "MAX_SLOPE_WORK", 40)
+        with pytest.raises(DomainError, match="limited to 40 distribution entries"):
+            slope_weights(s)
+        monkeypatch.setattr(slopes, "MAX_SLOPE_WORK", 4000)
+        assert slope_weights(s).weights == expected
 
 
 class TestSubstitutions:
