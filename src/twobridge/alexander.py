@@ -13,8 +13,11 @@ as its diagonal alone and no matrix is ever built.  One band loop
 for the leading minors of M - t M^T (kept mod z^3, which gives
 Delta''(1)) and of M + M^T (the signature and the knot determinant),
 plus the sign sum of the diagonal, which is the longitude's sign sum in
-the boundary-slope data.  The full Alexander polynomial evaluates the
-first recurrence once at a packed integer instead.
+the boundary-slope data.  The coefficients of the Alexander polynomial
+(_coefficients) come from one evaluation of the first recurrence at a
+packed integer, within MAX_ALEXANDER_WORK; alexander_poly and the CLI
+both read them there, the CLI with the values of one _band pass and no
+LaurentPolynomial, ConwayForm or SeifertMatrix.
 """
 
 from __future__ import annotations
@@ -122,26 +125,27 @@ class LaurentPolynomial:
         return result
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k, c in self.items():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+        return _poly_str(self.items())
 
     def __repr__(self):
         return f"LaurentPolynomial({dict(self.items())})"
+
+
+def _poly_str(items) -> str:
+    """Text of a polynomial from its (exponent, nonzero coefficient) pairs
+    in ascending exponent order, as LaurentPolynomial prints it."""
+    parts = []
+    for k, c in items:
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        else:
+            body = "t" if k == 1 else f"t^{k}"
+            if mag != 1:
+                body = f"{mag}{body}"
+        parts.append(("-" if c < 0 else "+") + body)
+    text = "".join(parts)
+    return text[1:] if text[:1] == "+" else text or "0"
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,25 @@ def seifert_from_conway(c: ConwayForm) -> SeifertMatrix:
 
 
 def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
-    """Normalized Alexander polynomial det(M - t M^T) * (unit * t^-g).
+    """Normalized Alexander polynomial det(M - t M^T) * (unit * t^-g),
+    from the coefficients of _coefficients."""
+    coeffs = _coefficients(M.diagonal, _band(M.diagonal)[4])
+    return LaurentPolynomial({k: c for k, c in enumerate(coeffs, -M.genus)})
+
+
+# _coefficients refuses a polynomial past this many units of g^2 w m:
+# genus g, lane width w bits, m 64-bit words in the largest diagonal
+# entry (2g steps on ints of up to 2g w bits, each with a multiply by an
+# entry).  One unit takes 0.43-0.63 ns with one-word entries (2.4 s at
+# 2^32, g = 1,300) and 0.08 ns with 4,000-digit ones (x86_64, Python
+# 3.11).  S(10001,10000) at MAX_GENUS is 2^28.6 (0.16 s); the
+# benchmark's knots stay under 2^21.
+MAX_ALEXANDER_WORK = 1 << 31
+
+
+def _coefficients(diagonal, det: int) -> list[int]:
+    """Coefficients of the normalized Alexander polynomial of the Seifert
+    matrix with this diagonal, t^-g first, given det = det(M + M^T).
 
     M - t M^T is tridiagonal with diagonal a_k (1 - t) and, between rows
     k-1 and k, one entry 1 and one entry -t, so its leading minors follow
@@ -250,22 +272,27 @@ def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     and so is its Alexander polynomial (Crowell, Murasugi): the sum of
     their absolute values is |Delta(-1)| = |det(M + M^T)|, the last
     leading minor of M + M^T (from _band), and w leaves room for that and
-    a sign bit.
+    a sign bit.  DomainError before the loop past MAX_ALEXANDER_WORK.
     The unit sign is fixed by requiring value 1 at t = 1; anything else
     signals an invalid Seifert matrix and raises NormalizationError.  A
     coefficient sum that is not the determinant means the lanes did not
     hold the polynomial: InternalError.
     """
-    det = _band(M.diagonal)[4]
     lane = (abs(det).bit_length() + 8) // 8  # bytes per coefficient, sign bit included
     w = 8 * lane
+    n = len(diagonal)
+    work = (n // 2) ** 2 * w * (max(map(abs, diagonal), default=0).bit_length() // 64 + 1)
+    if work > MAX_ALEXANDER_WORK:
+        raise DomainError(
+            f"Alexander polynomials are limited to {MAX_ALEXANDER_WORK} units of"
+            f" genus^2 * lane bits * entry words; this knot needs {work}"
+        )
     prev, cur = 0, 1  # D_(-1) and D_0 at T
-    for a in M.diagonal:
+    for a in diagonal:
         x = a * cur
         prev, cur = cur, ((prev - x) << w) + x
     if not cur:
         raise NormalizationError("det(M - t M^T) vanishes identically")
-    n = len(M.diagonal)
     # each lane offset by 2^(w-1), so every lane of the sum is nonnegative
     biased = cur + int.from_bytes((bytes(lane - 1) + b"\x80") * (n + 1), "little")
     try:
@@ -279,8 +306,7 @@ def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
         raise NormalizationError(f"determinant evaluates to {at_one} at t=1, not a unit")
     if sum(map(abs, coeffs)) != abs(det):
         raise InternalError("Alexander coefficients do not sum in absolute value to det(M + M^T)")
-    g = M.genus
-    return LaurentPolynomial({k - g: at_one * c for k, c in enumerate(coeffs)})
+    return coeffs if at_one == 1 else [-c for c in coeffs]
 
 
 def alexander_second_derivative(M: SeifertMatrix) -> int:

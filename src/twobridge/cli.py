@@ -5,24 +5,33 @@ Knots are given as a Schubert form ``S(a,b)``, an even Conway form
 slice family.  Every numeric JSON field is an exact integer or a string
 "p/q"; output is byte-deterministic.
 
-Exit codes: 0 success, 2 bad input, 3 internal error (any other
-exception, from this package or not: it means a bug in this package).
+Exit codes: 0 success, 2 bad input or a documented limit (output
+integers past the interpreter's digit limit included; the output is
+rendered in full before any of it is written), 3 internal error (any
+other exception, from this package or not: it means a bug in this
+package).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .alexander import (
-    alexander_poly,
+    _band,
+    _coefficients,
+    _delta_second,
+    _even_entries,
+    _poly_str,
+    _seifert_diagonal,
+    _signature,
     conway_even_form,
-    second_derivative_at_one,
-    seifert_from_conway,
-    signature,
 )
 from .casson import SurgerySlope, lambda_surgery
 from .errors import DomainError, MeridianError
@@ -169,10 +178,72 @@ def _census_jsonl(values: tuple) -> str:
     )
 
 
-def _print_kv(pairs) -> None:
+# json.dumps with indent runs the pure-Python encoder; _json_text runs the
+# C encoder once per container of scalars, whose item separator carries
+# the line break and indent of the items (one encoder per indent).
+_ENCODERS: dict[str, json.JSONEncoder] = {}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2), for str-keyed dicts, lists,
+    tuples, str, int, bool and None; newline is the line break and indent
+    of the value's own line.  A container of containers joins the texts
+    of its items."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    if not is_dict and set(map(type, value)) == {int}:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+    if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+        encoder = _ENCODERS.get(inner) or _ENCODERS.setdefault(
+            inner, json.JSONEncoder(check_circular=False, separators=("," + inner, ": "))
+        )
+        text = encoder.encode(value)
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if is_dict:
+        parts = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+
+
+def _kv_text(pairs) -> str:
     width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key.ljust(width)}  {value}")
+    return "".join(f"{key.ljust(width)}  {value}\n" for key, value in pairs)
+
+
+def _holds_long_int(value, bound: int) -> bool:
+    """Some int in value (or its dicts, lists, tuples, Fractions) is >= bound in size."""
+    if isinstance(value, Fraction):
+        value = (value.numerator, value.denominator)
+    elif isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, int):
+        return abs(value) >= bound
+    return isinstance(value, (list, tuple)) and any(_holds_long_int(v, bound) for v in value)
+
+
+@contextlib.contextmanager
+def _printable(*values):
+    """Render output in full inside, before any of it is written.  Python
+    3.10.7 and later refuse to print ints of more than
+    sys.get_int_max_str_digits() digits (ValueError): DomainError when
+    one of values, the numbers the output shows, has that many."""
+    try:
+        yield
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and _holds_long_int(values, 10**limit):
+            raise DomainError(
+                f"output integers are limited to {limit} digits (the interpreter's limit"
+                " for integer string conversion, PYTHONINTMAXSTRDIGITS); this result has more"
+            ) from None
+        raise
 
 
 def _resolve_knot(args) -> SchubertForm:
@@ -196,10 +267,8 @@ def _cmd_info(args) -> int:
             "simple_cf": list(simple_cf(canonical.fraction).terms),
         }
     )
-    if args.json:
-        print(json.dumps(_document("info", payload), indent=2))
-    else:
-        _print_kv(
+    with _printable(payload):
+        text = _json_text(_document("info", payload)) + "\n" if args.json else _kv_text(
             [
                 ("knot", str(canonical) + (" (mirror of input)" if mirrored else "")),
                 ("name", payload["name"] or "-"),
@@ -209,6 +278,7 @@ def _cmd_info(args) -> int:
                 ("simple cf", "[" + ",".join(map(str, payload["simple_cf"])) + "]"),
             ]
         )
+    sys.stdout.write(text)
     return 0
 
 
@@ -232,46 +302,56 @@ def _cmd_slopes(args) -> int:
             "longitude_index": system.longitude_index,
         }
     )
-    if args.json:
-        print(json.dumps(_document("slopes", payload), indent=2))
-    else:
-        print(f"boundary slopes of {canonical} ({len(system.records)} expansions)")
-        print(f"{'cf':<40} {'n+':>3} {'n-':>3} {'N':>5} {'W':>8}")
-        for i, rec in enumerate(system.records):
-            mark = "  <- longitude" if i == system.longitude_index else ""
-            print(
-                f"{str(rec.cf):<40} {rec.n_plus:>3} {rec.n_minus:>3}"
-                f" {rec.slope:>5} {rec.weight:>8}{mark}"
-            )
+    with _printable(payload):
+        if args.json:
+            text = _json_text(_document("slopes", payload)) + "\n"
+        else:
+            lines = [
+                f"boundary slopes of {canonical} ({len(system.records)} expansions)\n",
+                f"{'cf':<40} {'n+':>3} {'n-':>3} {'N':>5} {'W':>8}\n",
+            ]
+            for i, rec in enumerate(system.records):
+                mark = "  <- longitude" if i == system.longitude_index else ""
+                lines.append(
+                    f"{str(rec.cf):<40} {rec.n_plus:>3} {rec.n_minus:>3}"
+                    f" {rec.slope:>5} {rec.weight:>8}{mark}\n"
+                )
+            text = "".join(lines)
+    sys.stdout.write(text)
     return 0
 
 
 def _cmd_alexander(args) -> int:
     s = _resolve_knot(args)
     canonical, mirrored = preferred_form(s)
-    matrix = seifert_from_conway(conway_even_form(canonical))
-    delta = alexander_poly(matrix)
+    # one band pass and one packed evaluation, the routes of alexander_poly,
+    # signature and alexander_second_derivative
+    diagonal = _seifert_diagonal(_even_entries(canonical.alpha, canonical.beta))
+    unit, odd, second, sigma, det, _, vanishing = _band(diagonal)
+    coeffs = _coefficients(diagonal, det)
+    delta_second = _delta_second(unit, odd, second)
+    sigma = _signature(sigma, vanishing)
+    terms = [(k, c) for k, c in enumerate(coeffs, -(len(diagonal) // 2)) if c]
     payload = _knot_payload(canonical, mirrored)
-    payload.update(
-        {
-            "alexander": {str(k): c for k, c in delta.items()},
-            "alexander_str": str(delta),
-            "delta_second_at_one": second_derivative_at_one(delta),
-            "signature": signature(matrix),
-        }
-    )
-    if args.json:
-        print(json.dumps(_document("alexander", payload), indent=2))
-    else:
-        _print_kv(
+    with _printable(payload, coeffs, delta_second):
+        payload.update(
+            {
+                "alexander": {str(k): c for k, c in terms},
+                "alexander_str": _poly_str(terms),
+                "delta_second_at_one": delta_second,
+                "signature": sigma,
+            }
+        )
+        text = _json_text(_document("alexander", payload)) + "\n" if args.json else _kv_text(
             [
                 ("knot", str(canonical)),
                 ("name", payload["name"] or "-"),
                 ("alexander polynomial", payload["alexander_str"]),
-                ("second derivative at 1", payload["delta_second_at_one"]),
-                ("signature", payload["signature"]),
+                ("second derivative at 1", delta_second),
+                ("signature", sigma),
             ]
         )
+    sys.stdout.write(text)
     return 0
 
 
@@ -281,19 +361,17 @@ def _cmd_casson(args) -> int:
     lam = lambda_surgery(s, r)  # rejects the meridian before anything else
     canonical, mirrored = preferred_form(s)
     payload = _knot_payload(canonical, mirrored)
-    payload.update(
-        {
-            "slope": str(r),
-            "total_seminorm": _rat(lam.seminorm),
-            "lambda": _rat(lam.value),
-            "hypotheses_ok": lam.hypotheses_ok,
-            "caveats": list(lam.caveats),
-        }
-    )
-    if args.json:
-        print(json.dumps(_document("casson", payload), indent=2))
-    else:
-        _print_kv(
+    with _printable(payload, r.p, r.q, lam.seminorm, lam.value):
+        payload.update(
+            {
+                "slope": str(r),
+                "total_seminorm": _rat(lam.seminorm),
+                "lambda": _rat(lam.value),
+                "hypotheses_ok": lam.hypotheses_ok,
+                "caveats": list(lam.caveats),
+            }
+        )
+        text = _json_text(_document("casson", payload)) + "\n" if args.json else _kv_text(
             [
                 ("knot", str(canonical) + (" (mirror of input)" if mirrored else "")),
                 ("slope", str(r)),
@@ -303,6 +381,7 @@ def _cmd_casson(args) -> int:
                 ("caveats", "; ".join(lam.caveats) or "-"),
             ]
         )
+    sys.stdout.write(text)
     return 0
 
 
@@ -341,23 +420,28 @@ def _cmd_obstruct(args) -> int:
     if args.census is not None:
         filters = _parse_filters(args.filter)  # before the census does any work
         array = args.json and not args.jsonl  # --jsonl wins over --json
-        # (alpha, beta, finished line) per kept knot, or the payload for a
-        # JSON array; payloads only for --json and --filter, no reports
+        # (alpha, beta, finished line) per kept knot, or its values for a
+        # JSON array; payloads only for --filter, no reports
         rows = []
         for v in _unsorted_census(args.census):
-            p = _report_payload(v) if array or filters else None
-            if filters and not _matches(p, filters):
+            if filters and not _matches(_report_payload(v), filters):
                 continue
             if array:
-                entry = p
+                entry = v
             elif args.jsonl:
                 entry = _census_jsonl(v)
             else:
                 entry = _census_text(v)
             rows.append((v[0], v[1], entry))
         rows.sort(key=lambda row: row[:2])
-        if array:
-            print(json.dumps(_document("obstruct", [p for _, _, p in rows]), indent=2))
+        if array and rows:  # one element at a time: census values are small
+            head, _, tail = _json_text(_document("obstruct", [0])).rpartition("0")
+            for i, (_, _, v) in enumerate(rows):
+                element = _json_text(_report_payload(v), "\n    ")
+                sys.stdout.write((",\n    " if i else head) + element)
+            sys.stdout.write(tail + "\n")
+        elif array:
+            sys.stdout.write(_json_text(_document("obstruct", [])) + "\n")
         else:
             for _, _, line in rows:
                 print(line)
@@ -366,14 +450,12 @@ def _cmd_obstruct(args) -> int:
         raise DomainError("--filter needs --census")
     s = _resolve_knot(args)
     r = obstruct(s)
-    payload = _report_payload(  # the report's values, as _values gives them
-        (r.knot.alpha, r.knot.beta, r.mirrored, r.name, r.crossing_number,
-         r.delta_second, r.sigma, int(2 * r.casson_difference), r.verdict)
-    )
-    if args.json or args.jsonl:
-        print(json.dumps(_document("obstruct", payload), indent=2))
-    else:
-        _print_kv(
+    values = (r.knot.alpha, r.knot.beta, r.mirrored, r.name, r.crossing_number,
+              r.delta_second, r.sigma, int(2 * r.casson_difference), r.verdict)
+    with _printable(values):
+        payload = _report_payload(values)  # the report's values, as _values gives them
+        json_out = args.json or args.jsonl
+        text = _json_text(_document("obstruct", payload)) + "\n" if json_out else _kv_text(
             [
                 ("knot", f"S({payload['schubert']['alpha']},{payload['schubert']['beta']})"),
                 ("name", payload["name"] or "-"),
@@ -385,6 +467,7 @@ def _cmd_obstruct(args) -> int:
                 ("caveats", "; ".join(payload["caveats"]) or "-"),
             ]
         )
+    sys.stdout.write(text)
     return 0
 
 

@@ -52,9 +52,10 @@ class ContinuedFraction:
     def __post_init__(self):
         if not self.terms:
             raise DomainError("continued fraction needs at least an integer part")
-        object.__setattr__(
-            self, "terms", tuple(_as_int(t, "continued fraction term") for t in self.terms)
-        )
+        if type(self.terms) is not tuple or set(map(type, self.terms)) != {int}:
+            object.__setattr__(
+                self, "terms", tuple(_as_int(t, "continued fraction term") for t in self.terms)
+            )
 
     @property
     def integer_part(self) -> int:

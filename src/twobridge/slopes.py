@@ -133,33 +133,43 @@ def _step(n: int, d: int) -> tuple[int, list[tuple[tuple[int, int], int, int]]]:
 
 # enumerate_bscf lists at most this many terms over all expansions of a
 # knot, integer parts included: length times number bounds time and
-# memory.  `slopes --json` takes 1.2 s and 87 MB on the 406,815 terms of
-# S(36395631,26336126) (2-CPU x86_64, Python 3.11).  A forced run that
+# memory.  `slopes --json` takes 0.65 s and 63 MB as a process on the
+# 406,815 terms of S(36395631,26336126) (2-CPU x86_64, Python 3.11).  A forced run that
 # would pass it is refused where it starts: a 4,300-digit S(n+1,n) in
 # about 5 ms.
 MAX_EXPANSION_TERMS = 500_000
 
 
-def _expansions(s: SchubertForm, depth_limit: int) -> list[tuple[int, ...]]:
-    """Term lists of every expansion of beta/alpha with tail terms |a| >= 2.
+def _expansions(s: SchubertForm, depth_limit: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
+    """(terms, n+, weight, all even) of every expansion of beta/alpha with
+    tail terms |a| >= 2, in increasing _sort_key of the terms.
 
     Walks the states of _step depth-first from the two roots, alpha/beta
     and -alpha/(alpha - beta) (integer parts 0 and 1), with the target's
     sign, which the ceiling flips; a term is that sign times the folded
-    term.  One path is cut back on each pop, so the work is linear in the
-    terms listed; DomainError as soon as they must pass
-    MAX_EXPANSION_TERMS, at the start of a forced run at the latest.
+    term.  Per term of its one path the walk carries n+, the weight, the
+    evenness and the convergents (p, q), cut back with the path on each
+    pop, so the work is linear in the terms listed; DomainError as soon
+    as they must pass MAX_EXPANSION_TERMS, at the start of a forced run
+    at the latest.  InternalError unless each convergent is beta/alpha
+    and each cut puts a later term in _sort_key where it cuts, which
+    makes the listing strictly increasing.
     """
-    out: list[tuple[int, ...]] = []
+    out = []
     listed = 0
     path: list[int] = []
+    # per term of the path: (n+, weight, all even, p, q, p and q before)
+    carried: list[tuple] = []
     # (key, sign of the target, path length before the term, term):
     # integer part 0 leaves alpha/beta, 1 leaves -alpha/(alpha - beta)
     stack = [((s.alpha, s.alpha - s.beta), -1, 0, 1), ((s.alpha, s.beta), 1, 0, 0)]
     while stack:
         (n, d), sign, depth, term = stack.pop()
-        del path[depth:]
-        path.append(term)
+        if depth < len(path):
+            cut = path[depth]
+            if (abs(term), term < 0) <= (abs(cut), cut < 0):
+                raise InternalError(f"expansions of {s} are not listed in increasing order")
+            del path[depth:], carried[depth:]
         if depth >= depth_limit:
             raise InternalError("expansion depth exceeded the term-sum bound")
         # expansions from here have >= depth + 2 terms, and a target with
@@ -172,9 +182,21 @@ def _expansions(s: SchubertForm, depth_limit: int) -> list[tuple[int, ...]]:
                 " in total; this knot's have more"
             )
         q, children = _step(n, d)
+        terms = (term,) if children else (term, sign * q)
+        for t in terms:
+            j = len(path)  # the term's position in the tail
+            if j:
+                n_plus, w, even, p0, q0, p1, q1 = carried[-1]
+                carried.append((n_plus + ((t > 0) == (j % 2 == 1)), w * (abs(t) - 1),
+                                even and t % 2 == 0, t * p0 + p1, t * q0 + q1, p0, q0))
+            else:
+                carried.append((0, 1, t % 2 == 0, t, 1, 1, 0))
+            path.append(t)
         if not children:
-            path.append(sign * q)
-            out.append(tuple(path))
+            n_plus, w, even, p0, q0, _, _ = carried[-1]
+            if (p0, q0) not in ((s.beta, s.alpha), (-s.beta, -s.alpha)):
+                raise InternalError(f"expansion {path} does not evaluate to {s.beta}/{s.alpha}")
+            out.append((tuple(path), n_plus, w, even))
             listed += depth + 2
             continue
         for child, a, sums_sign in children:
@@ -192,38 +214,25 @@ def enumerate_bscf(s: SchubertForm) -> SlopeSystem:
     """
     if s.beta % 2 != 0:
         raise DomainError(f"enumerate_bscf needs the canonical even-beta form, got {s}")
-    term_lists = _expansions(s, sum(simple_cf(s.fraction).tail) + 2)
-    if len(set(term_lists)) != len(term_lists):
-        raise InternalError(f"duplicate expansions found for {s}")
-    term_lists.sort(key=_sort_key)
-
-    cfs = [ContinuedFraction(t) for t in term_lists]
-    value = s.fraction
-    for cf in cfs:
-        if cf_eval(cf) != value:
-            raise InternalError(f"expansion {cf} does not evaluate to {value}")
-
-    even_indices = [i for i, cf in enumerate(cfs) if cf.all_even()]
+    listed = _expansions(s, sum(simple_cf(s.fraction).tail) + 2)
+    even_indices = [i for i, item in enumerate(listed) if item[3]]
     if len(even_indices) != 1:
         raise InternalError(
             f"expected exactly one all-even expansion for {s}, found {len(even_indices)}"
         )
     longitude_index = even_indices[0]
-    n0_plus, n0_minus = pattern_counts(cfs[longitude_index])
-
-    built = []
-    for cf in cfs:
-        n_plus, n_minus = pattern_counts(cf)
-        built.append(
-            BoundarySlopeRecord(
-                cf=cf,
-                n_plus=n_plus,
-                n_minus=n_minus,
-                slope=2 * ((n_plus - n_minus) - (n0_plus - n0_minus)),  # as in slope_of
-                weight=weight(cf),
-            )
+    terms, n0_plus, _, _ = listed[longitude_index]
+    base = 2 * n0_plus - len(terms)  # n0+ - n0- - 1
+    records = tuple(
+        BoundarySlopeRecord(
+            cf=ContinuedFraction(terms),
+            n_plus=n_plus,
+            n_minus=len(terms) - 1 - n_plus,
+            slope=2 * (2 * n_plus - len(terms) - base),  # as in slope_of
+            weight=w,
         )
-    records = tuple(built)
+        for terms, n_plus, w, _ in listed
+    )
     if records[longitude_index].slope != 0:
         raise InternalError(f"longitude of {s} has nonzero slope")
     return SlopeSystem(knot=s, records=records, longitude_index=longitude_index)

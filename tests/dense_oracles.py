@@ -18,7 +18,9 @@ with its own floor/ceiling candidates and |a| >= 2 filters, lists what
 the package lists by the parity- and sign-folded step of its weight walk.
 The slope weights come from the memoised walk over that step, one term
 at a time, which the two-state recurrence over the Euclid quotients
-replaced.
+replaced.  The boundary-slope records are built as they were before the
+listing carried them: a duplicate set, a sort, an exact evaluation of
+each expansion and a count of its signs and weight.
 """
 
 from __future__ import annotations
@@ -27,13 +29,19 @@ import math
 from fractions import Fraction
 
 from twobridge import (
+    BoundarySlopeRecord,
+    ContinuedFraction,
     DomainError,
     InternalError,
     LaurentPolynomial,
     SchubertForm,
     SingularError,
+    SlopeSystem,
+    cf_eval,
     crossing_number,
+    pattern_counts,
     simple_cf,
+    weight,
 )
 from twobridge.casson import _cyclotomic, _divides
 from twobridge.obstruction import class_key
@@ -332,6 +340,56 @@ def reference_expansions(s: SchubertForm) -> list[tuple[int, ...]]:
         _expansions(num, den, c, term_lists, depth_limit)
     term_lists.sort(key=_sort_key)
     return term_lists
+
+
+def reference_enumerate_bscf(s: SchubertForm) -> SlopeSystem:
+    """enumerate_bscf as it was before the listing carried the records:
+    term lists from the signed-residual search, a set for duplicates, a
+    sort, an exact evaluation of each expansion, and pattern_counts and
+    weight per record."""
+    if s.beta % 2 != 0:
+        raise DomainError(f"enumerate_bscf needs the canonical even-beta form, got {s}")
+    depth_limit = sum(simple_cf(s.fraction).tail) + 2
+    term_lists: list[tuple[int, ...]] = []
+    for c in (0, 1):
+        num, den = s.alpha, s.beta - c * s.alpha
+        if den < 0:
+            num, den = -num, -den
+        _expansions(num, den, c, term_lists, depth_limit)
+    if len(set(term_lists)) != len(term_lists):
+        raise InternalError(f"duplicate expansions found for {s}")
+    term_lists.sort(key=_sort_key)
+
+    cfs = [ContinuedFraction(t) for t in term_lists]
+    value = s.fraction
+    for cf in cfs:
+        if cf_eval(cf) != value:
+            raise InternalError(f"expansion {cf} does not evaluate to {value}")
+
+    even_indices = [i for i, cf in enumerate(cfs) if cf.all_even()]
+    if len(even_indices) != 1:
+        raise InternalError(
+            f"expected exactly one all-even expansion for {s}, found {len(even_indices)}"
+        )
+    longitude_index = even_indices[0]
+    n0_plus, n0_minus = pattern_counts(cfs[longitude_index])
+
+    built = []
+    for cf in cfs:
+        n_plus, n_minus = pattern_counts(cf)
+        built.append(
+            BoundarySlopeRecord(
+                cf=cf,
+                n_plus=n_plus,
+                n_minus=n_minus,
+                slope=2 * ((n_plus - n_minus) - (n0_plus - n0_minus)),
+                weight=weight(cf),
+            )
+        )
+    records = tuple(built)
+    if records[longitude_index].slope != 0:
+        raise InternalError(f"longitude of {s} has nonzero slope")
+    return SlopeSystem(knot=s, records=records, longitude_index=longitude_index)
 
 
 def _fill(stack: list[tuple[int, int]], memo: dict[tuple[int, int], dict[int, int]]) -> None:

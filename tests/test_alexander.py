@@ -208,6 +208,33 @@ class TestAlexanderPoly:
             with pytest.raises(InternalError):
                 alexander_poly(SeifertMatrix(diagonal))
 
+    def test_work_limit(self, monkeypatch):
+        # g^2 w m: genus 3, 8-bit lanes (det 49) and one-word entries,
+        # refused before the loop one unit past the limit
+        import twobridge.alexander as alexander
+
+        m = seifert_from_conway(conway_even_form(SchubertForm(49, 18)))
+        monkeypatch.setattr(alexander, "MAX_ALEXANDER_WORK", 9 * 8)
+        assert alexander_poly(m) == DELTA_927
+        monkeypatch.setattr(alexander, "MAX_ALEXANDER_WORK", 9 * 8 - 1)
+        with pytest.raises(DomainError, match="limited to 71 units"):
+            alexander_poly(m)
+        # a 65-bit entry counts two words; det = 2^66 - 1 takes 72-bit lanes
+        big = SeifertMatrix((1, 1 << 64))
+        monkeypatch.setattr(alexander, "MAX_ALEXANDER_WORK", 1 * 72 * 2)
+        assert alexander_poly(big).coefficient(0) == 1 - (2 << 64)
+        monkeypatch.setattr(alexander, "MAX_ALEXANDER_WORK", 1 * 72 * 2 - 1)
+        with pytest.raises(DomainError):
+            alexander_poly(big)
+
+    def test_work_limit_admits_the_genus_limit(self):
+        # S(10001,10000) is C[2,2,...,2] of genus MAX_GENUS, det 10001
+        m = seifert_from_conway(conway_even_form(SchubertForm(10001, 10000)))
+        assert m.genus == MAX_GENUS
+        delta = alexander_poly(m)
+        assert delta.exponents() == list(range(-MAX_GENUS, MAX_GENUS + 1))
+        assert sum(abs(c) for _, c in delta.items()) == 10001
+
 
 class TestConwayEvenForm:
     def test_pinned(self):

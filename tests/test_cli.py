@@ -233,6 +233,22 @@ class TestGoldenDigests:
              "f4f2d5c763bbccbc403fa550f90d2f16e820695c8412f03114b633cb85ea9202"),
             (["obstruct", "--census", "16", "--jsonl"],
              "6dd934bb9f8a318a0e7f9342d8fd2927854fe79c1a79ef009c1991d16c41981a"),
+            # recorded before one writer replaced json.dumps(indent=2) and
+            # `alexander` became one band pass and one packed evaluation
+            (["info", "9_27", "--json"],
+             "9473fefacd82461ddf394578d83e24b1514098e390b7385674f8f3d6596f3bb3"),
+            (["info", "S(801,800)"],
+             "637b3e3a7bfa2bfe61b93f0d64ecf9199b22d317825f024129efad647dd4c3a7"),
+            (["obstruct", "9_27", "--json"],
+             "63e2a4c587bb5766decf95d5d523f689476983c9ed6bdd88c8957ace510f69dd"),
+            (["obstruct", "S(4001,4000)"],
+             "e9cefabcdd71cfb121056d00f07b80363e86b5bb376c7757a1c4b5327aff592d"),
+            (["alexander", "S(801,800)"],
+             "ce355ccad642d7abd8f5b6d1b7a179477308608dd7d21ce0b7978af766c7b17f"),
+            (["casson", "9_27", "-7/2"],
+             "8f29f962325b4c87b3c12e2d3f72b0b92d5a0e33f1be0f7667a33c473b3cfc46"),
+            (["obstruct", "--census", "9", "--json", "--filter", "sigma=0"],
+             "7ba97bfbd0bf4f68d9db18cd95f76bbd0f466fdb0be8e655023df0109a6e2f00"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

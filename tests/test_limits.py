@@ -100,3 +100,44 @@ def test_huge_slope_walks_finish_or_exit_2(argv):
     assert result["peak_mb"] < 400  # the entries held at once are bounded too
     if result["code"] == 2:
         assert "limited to" in err and out == ""
+
+
+# 4,300 digits each, the most that int() reads by default; 9_27 surgery
+# along P/Q has a seminorm and a Casson invariant of more digits
+P_4300, Q_4300 = 2 * 10**4299 + 1, 10**4299
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python 3.10.0-3.10.6 convert integers of any length")
+@pytest.mark.parametrize("argv", [
+    ["casson", "9_27", f"{P_4300}/{Q_4300}"],
+    ["casson", "9_27", f"{P_4300}/{Q_4300}", "--json"],
+    ["info", _conway([4] * 10000)],  # alpha of about 5,700 digits
+    ["info", _conway([4] * 10000), "--json"],
+])
+def test_unprintable_integers_exit_2_with_nothing_written(argv):
+    # the text and JSON documents are rendered in full before any byte is written
+    result, out, err = _run(argv)
+    assert result["code"] == 2, err
+    assert out == ""
+    assert f"limited to {sys.get_int_max_str_digits()} digits" in err
+    assert result["seconds"] < 5
+
+
+def _two_entries(seed: int, genus: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.choice((-2, 2)) for _ in range(2 * genus)]
+
+
+@pytest.mark.parametrize("argv", [
+    # the packed evaluation alone would take, on x86_64:
+    ["alexander", _conway([4] * 6000)],  # genus 3,000, 12,504-bit lanes: 62 s
+    ["alexander", _conway(_two_entries(25, 2500)), "--json"],  # 4,744-bit lanes: about 15 s
+    ["alexander", _conway(_two_entries(50, 5000))],  # genus 5,000, 9,472-bit lanes: 148 s
+])
+def test_alexander_past_its_work_limit_exits_2_at_once(argv):
+    result, out, err = _run(argv)
+    assert result["code"] == 2, err
+    assert out == ""
+    assert "Alexander polynomials are limited to" in err
+    assert result["seconds"] < 2

@@ -3,9 +3,11 @@
 Conway forms are drawn at random (genus up to 6, entries up to 40 in
 absolute value) for the Alexander layer; simple continued fraction
 tails of 10 to 30 crossings for the boundary slopes, the obstruction
-report and the crossing number.  The examples are derandomized so every
-run sees the same ones.
+report and the crossing number; nested JSON values for the CLI's
+writer.  The examples are derandomized so every run sees the same ones.
 """
+
+import json
 
 import pytest
 
@@ -26,6 +28,7 @@ from twobridge import (
     signature,
     slope_weights,
 )
+from twobridge.cli import _json_text
 from dense_oracles import dense_alexander, dense_seifert, dense_signature
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -99,3 +102,19 @@ def test_crossing_number_is_the_tail_sum(tail_value):
     inv = pow(beta, -1, alpha)
     for b in (beta, alpha - beta, inv, alpha - inv):
         assert crossing_number(SchubertForm(alpha, b)) == sum(tail)
+
+
+# JSON values as the documents hold them: str-keyed dicts and lists,
+# nested, of ints of any size, strings with escapes and non-ASCII text,
+# bools and None, empty containers included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@hypothesis.settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@hypothesis.given(json_values)
+def test_writer_gives_the_bytes_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 import twobridge.slopes as slopes
-from dense_oracles import reference_expansions, reference_slope_weights, weight_sides
+from dense_oracles import (
+    reference_enumerate_bscf,
+    reference_expansions,
+    reference_slope_weights,
+    weight_sides,
+)
 from twobridge import (
     ContinuedFraction,
     DomainError,
@@ -174,6 +179,34 @@ class TestEnumerate:
         for s in forms:
             assert [r.cf.terms for r in enumerate_bscf(s).records] == reference_expansions(s), s
 
+    def test_matches_the_record_building_it_replaced(self):
+        # the listing carries n+, the weight and the convergent along its
+        # path; the old route sorted, deduplicated, evaluated and counted
+        # each record on its own
+        for alpha in range(3, 200, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) == 1:
+                    s = SchubertForm(alpha, beta)
+                    assert enumerate_bscf(s) == reference_enumerate_bscf(s), s
+
+    def test_a_listing_out_of_order_is_an_internal_error(self, monkeypatch):
+        # children popped ceiling first list the expansions in decreasing order
+        step = slopes._step
+        monkeypatch.setattr(slopes, "_step", lambda n, d: (step(n, d)[0], step(n, d)[1][::-1]))
+        with pytest.raises(InternalError, match="not listed in increasing order"):
+            enumerate_bscf(SchubertForm(49, 18))
+
+    def test_a_wrong_last_term_is_an_internal_error(self, monkeypatch):
+        step = slopes._step
+
+        def off_by_two(n, d):
+            q, children = step(n, d)
+            return (q if children else q + 2), children
+
+        monkeypatch.setattr(slopes, "_step", off_by_two)
+        with pytest.raises(InternalError, match="does not evaluate to 18/49"):
+            enumerate_bscf(SchubertForm(49, 18))
+
     def test_term_limit_is_exact(self, monkeypatch):
         # 9_27's ten expansions hold 59 terms, integer parts included
         s = SchubertForm(49, 18)
@@ -209,7 +242,8 @@ class TestEnumerate:
         # 4000/4001 has 4,001 terms, 4,000 before its last
         with pytest.raises(InternalError, match="term-sum bound"):
             slopes._expansions(SchubertForm(4001, 4000), 3999)
-        assert max(map(len, slopes._expansions(SchubertForm(4001, 4000), 4000))) == 4001
+        listed = slopes._expansions(SchubertForm(4001, 4000), 4000)  # (terms, n+, weight, even)
+        assert max(len(terms) for terms, *_ in listed) == 4001
 
 
 class TestSlopeWeights:
