@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
+from operator import mul
 
 from .errors import DomainError, InternalError, NormalizationError, SingularError
 from .rational import ConwayForm, SchubertForm, _as_int
@@ -334,24 +336,30 @@ MAX_GENUS = 5000
 
 
 def conway_even_form(s: SchubertForm) -> ConwayForm:
-    """Even Conway form: tail of the unique all-even expansion of beta/alpha
-    (see _even_entries)."""
+    """Even Conway form: tail of the unique all-even expansion of beta/alpha,
+    read back from the Seifert diagonal of _even_diagonal."""
     if s.beta % 2 != 0:
         raise DomainError(f"conway_even_form needs the canonical even-beta form, got {s}")
-    return ConwayForm(_even_entries(s.alpha, s.beta))
+    return ConwayForm(tuple(map(mul, _even_diagonal(s.alpha, s.beta), cycle((2, -2)))))
 
 
-def _even_entries(alpha: int, beta: int) -> tuple[int, ...]:
-    """Entries of the even Conway form of S(alpha, beta), beta even.
+def _even_diagonal(alpha: int, beta: int) -> list[int]:
+    """Seifert diagonal of the even Conway form C[e1, ..., e2g] of
+    S(alpha, beta), beta even: entry i is (-1)^(i+1) * e_i / 2 (1-based,
+    as _seifert_diagonal), emitted as the walk finds e_i.
 
     At every step exactly one of floor and ceiling of the residual target
     is even, so the expansion is forced term by term; the residual
     denominator strictly decreases, and for an even beta over an odd
-    alpha the walk can only terminate at an even integer.  The number of
+    alpha the walk can only terminate at an even integer.  The walk
+    keeps the target times (-1)^(i+1) as n/d with d > 0: the even one of
+    its floor q and ceiling q + 1 is then 2 half for the diagonal entry
+    half, and the next target is 1 / (2 half - n/d).  The number of
     steps is twice the genus, which nothing else bounds, so the walk
     stops with DomainError once the form is longer than MAX_GENUS bands.
     """
-    entries = []
+    diagonal = []
+    limit = 2 * MAX_GENUS
     num, den = alpha, beta
     while True:
         q, rem = divmod(num, den)
@@ -360,19 +368,21 @@ def _even_entries(alpha: int, beta: int) -> tuple[int, ...]:
                 raise InternalError(
                     f"all-even expansion of S({alpha},{beta}) ended on odd term {q}"
                 )
-            entries.append(q)
+            diagonal.append(q // 2)
             break
-        a = q if q % 2 == 0 else q + 1
-        assert abs(a) >= 2, "residual targets always exceed 1 in absolute value"
-        entries.append(a)
-        if len(entries) >= 2 * MAX_GENUS:
+        if q % 2 == 0:  # the floor: 2 half - n/d = -rem/d
+            half = q // 2
+            num, den = -den, rem
+        else:  # the ceiling: 2 half - n/d = (d - rem)/d
+            half = (q + 1) // 2
+            num, den = den, den - rem
+        assert half, "residual targets always exceed 1 in absolute value"
+        diagonal.append(half)
+        if len(diagonal) >= limit:
             raise DomainError(f"genus is limited to {MAX_GENUS}; this knot's genus is larger")
-        num, den = den, num - a * den
-        if den < 0:
-            num, den = -num, -den
-    if len(entries) % 2 != 0:
+    if len(diagonal) % 2 != 0:
         raise InternalError(f"all-even expansion of S({alpha},{beta}) has odd length")
-    return tuple(entries)
+    return diagonal
 
 
 def second_derivative_at_one(d: LaurentPolynomial) -> int:

@@ -27,9 +27,8 @@ from .alexander import (
     _band,
     _coefficients,
     _delta_second,
-    _even_entries,
+    _even_diagonal,
     _poly_str,
-    _seifert_diagonal,
     _signature,
     conway_even_form,
 )
@@ -326,7 +325,7 @@ def _cmd_alexander(args) -> int:
     canonical, mirrored = preferred_form(s)
     # one band pass and one packed evaluation, the routes of alexander_poly,
     # signature and alexander_second_derivative
-    diagonal = _seifert_diagonal(_even_entries(canonical.alpha, canonical.beta))
+    diagonal = _even_diagonal(canonical.alpha, canonical.beta)
     unit, odd, second, sigma, det, _, vanishing = _band(diagonal)
     coeffs = _coefficients(diagonal, det)
     delta_second = _delta_second(unit, odd, second)
@@ -420,31 +419,27 @@ def _cmd_obstruct(args) -> int:
     if args.census is not None:
         filters = _parse_filters(args.filter)  # before the census does any work
         array = args.json and not args.jsonl  # --jsonl wins over --json
-        # (alpha, beta, finished line) per kept knot, or its values for a
-        # JSON array; payloads only for --filter, no reports
+        # per kept knot its values for a JSON array, else (alpha, beta,
+        # finished line); payloads only for --filter, no reports
         rows = []
         for v in _unsorted_census(args.census):
             if filters and not _matches(_report_payload(v), filters):
                 continue
             if array:
-                entry = v
-            elif args.jsonl:
-                entry = _census_jsonl(v)
+                rows.append(v)
             else:
-                entry = _census_text(v)
-            rows.append((v[0], v[1], entry))
-        rows.sort(key=lambda row: row[:2])
+                rows.append((v[0], v[1], _census_jsonl(v) if args.jsonl else _census_text(v)))
+        rows.sort()  # by (alpha, beta), which no two knots share
         if array and rows:  # one element at a time: census values are small
             head, _, tail = _json_text(_document("obstruct", [0])).rpartition("0")
-            for i, (_, _, v) in enumerate(rows):
+            for i, v in enumerate(rows):
                 element = _json_text(_report_payload(v), "\n    ")
                 sys.stdout.write((",\n    " if i else head) + element)
             sys.stdout.write(tail + "\n")
         elif array:
             sys.stdout.write(_json_text(_document("obstruct", [])) + "\n")
-        else:
-            for _, _, line in rows:
-                print(line)
+        elif rows:  # one call, and no copy of the lines: each is written as it is
+            print(*[line for _, _, line in rows], sep="\n")
         return 0
     if args.filter:
         raise DomainError("--filter needs --census")
@@ -522,7 +517,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        # an exception may carry no message, as MemoryError() does
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

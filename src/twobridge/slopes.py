@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .alexander import _band, _seifert_diagonal, conway_even_form
+from .alexander import _band, _even_diagonal
 from .errors import DomainError, InternalError
 from .rational import ContinuedFraction, SchubertForm, cf_eval, simple_cf
 
@@ -242,11 +242,12 @@ def slope_weights(s: SchubertForm) -> SlopeWeights:
     """Total weight per boundary slope of a canonical (even-beta) form.
 
     See _slope_weights, which this calls with the longitude's sign sum
-    from the band loop over the even Conway form of s.
+    from the band loop over the Seifert diagonal of the even Conway form
+    of s.
     """
     if s.beta % 2 != 0:
         raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
-    longitude = _band(_seifert_diagonal(conway_even_form(s).entries))[5]
+    longitude = _band(_even_diagonal(s.alpha, s.beta))[5]
     return _slope_weights(s, longitude)
 
 
@@ -285,9 +286,10 @@ PACKED_BITS = 1 << 20
 MAX_SLOPE_WORK = 1 << 27
 
 
-def _roots(alpha: int, beta: int) -> tuple[tuple[int, int], int, tuple]:
+def _roots(alpha: int, a: list[int]) -> tuple[tuple[int, int], int, tuple]:
     """The weight distributions of the two roots of S(alpha, beta), beta
-    even, as ((low_0, low_1), w, (root_0, root_1)).
+    even, as ((low_0, low_1), w, (root_0, root_1)), from the Euclid
+    quotients a = a_1, ..., a_k of alpha/beta (see _quotients).
 
     A sign sum t of an expansion from a root is n+ - n- over its tail; it
     has slope 2(t - longitude).  Let P_{j,c}(x) be the sum of W x^t over
@@ -322,7 +324,6 @@ def _roots(alpha: int, beta: int) -> tuple[tuple[int, int], int, tuple]:
       * sparse (w = 0): {sum: weight} dicts, root sums offset by low; the
         only route for big terms, within MAX_SLOPE_WORK.
     """
-    a = _quotients(alpha, beta)
     # every sum of every Q lies in [-frame, frame]: by the recurrence, the
     # sums of Q_j are at most 1 + a_(j+1) + ... + a_k in absolute value,
     # and a_1 enters only as a weight and the offset
@@ -417,7 +418,7 @@ def _slope_weights(s: SchubertForm, longitude: int) -> SlopeWeights:
     the slopes: the roots of _roots read as the sorted {slope: total
     weight} distribution.  Both checks of _check_weights are made.
     """
-    lows, w, roots = _roots(s.alpha, s.beta)
+    lows, w, roots = _roots(s.alpha, _quotients(s.alpha, s.beta))
     totals: dict[int, int] = {}
     for low, root in zip(lows, roots):
         for t, v in _entries(root, w):
@@ -427,30 +428,33 @@ def _slope_weights(s: SchubertForm, longitude: int) -> SlopeWeights:
     return SlopeWeights(knot=s, weights=tuple(sorted(totals.items())))
 
 
-def _weight_sides(alpha: int, beta: int, longitude: int) -> tuple[int, int]:
-    """(sum_{N<0} W, sum_{N>0} W) for S(alpha, beta), beta even: the roots
-    of _roots read as two sums, with the checks of _check_weights.  Only
-    the comparison of a sum with the longitude counts.  A packed root of
-    narrow lanes is read by lane masks: 2^w = 1 mod 2^w - 1, so an int
-    mod 2^w - 1 is the sum of its lanes, which _roots keeps below
-    2^w - 1.  That division is linear only for a divisor of a few words,
-    so wider lanes are read one by one.
+def _weight_sides(alpha: int, beta: int, a: list[int], longitude: int) -> tuple[int, int]:
+    """(sum_{N<0} W, sum_{N>0} W) for S(alpha, beta), beta even, whose
+    Euclid quotients are a: the roots of _roots read as two sums, with
+    the checks of _check_weights.  Only the comparison of a sum with the
+    longitude counts.  Packed roots of narrow lanes are merged into one
+    int, root_0 shifted up by the a_1 - 1 lanes between the two lows,
+    and read by lane masks: 2^w = 1 mod 2^w - 1, so an int mod 2^w - 1
+    is the sum of its lanes, which _roots keeps below 2^w - 1 even for a
+    sum of the two roots.  That division is linear only for a divisor of
+    a few words, and the merge only for a shift within PACKED_BITS, so
+    wider lanes, or a larger a_1, are read lane by lane.
     """
-    lows, w, roots = _roots(alpha, beta)
-    negative = total = at_longitude = 0
-    if 0 < w <= 64:
+    lows, w, roots = _roots(alpha, a)
+    negative = at_longitude = 0
+    shift = (lows[0] - lows[1]) * w
+    if 0 < w <= 64 and shift <= PACKED_BITS:
         ones = (1 << w) - 1
-        for low, root in zip(lows, roots):
-            part = root % ones
-            total += part
-            cut = longitude - low  # the longitude's lane
-            if cut * w > root.bit_length():
-                negative += part
-            elif cut >= 0:
-                cut *= w
-                negative += (root & ((1 << cut) - 1)) % ones
-                at_longitude += (root >> cut) & ones
+        merged = (roots[0] << shift) + roots[1]
+        total = merged % ones
+        cut = (longitude - lows[1]) * w  # the longitude's lane, in bits
+        if cut > merged.bit_length():
+            negative = total
+        elif cut >= 0:
+            negative = (merged & ((1 << cut) - 1)) % ones
+            at_longitude = (merged >> cut) & ones
     else:
+        total = 0
         for low, root in zip(lows, roots):
             cut = longitude - low
             for t, v in _entries(root, w):

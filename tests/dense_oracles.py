@@ -20,7 +20,11 @@ The slope weights come from the memoised walk over that step, one term
 at a time, which the two-state recurrence over the Euclid quotients
 replaced.  The boundary-slope records are built as they were before the
 listing carried them: a duplicate set, a sort, an exact evaluation of
-each expansion and a count of its signs and weight.
+each expansion and a count of its signs and weight.  The census kernel
+is kept as it was before the tail walk handed each knot its quotients
+and inverse: pow for the inverse, Euclid's algorithm for the quotients,
+the even Conway walk, the Seifert diagonal and the band loop as three
+loops, and the two packed roots read one after the other.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ from twobridge import (
     simple_cf,
     weight,
 )
+from twobridge.alexander import _band, _delta_second, _seifert_diagonal, _signature
 from twobridge.casson import _cyclotomic, _divides
-from twobridge.obstruction import class_key
-from twobridge.slopes import _check_weights, _sort_key, _step
+from twobridge.obstruction import KNOT_NAMES, class_key, classify
+from twobridge.slopes import _check_weights, _entries, _roots, _sort_key, _step
 
 # -- dense integer-polynomial helpers (little-endian coefficient lists) --
 
@@ -453,3 +458,91 @@ def weight_sides(weights) -> tuple[int, int]:
     """(sum_{N<0} W, sum_{N>0} W) of (slope, weight) pairs."""
     return (sum(w for slope, w in weights if slope < 0),
             sum(w for slope, w in weights if slope > 0))
+
+
+# -- the census kernel before the tail walk gave each knot its quotients --
+
+
+def reference_quotients(alpha: int, beta: int) -> list[int]:
+    """The Euclid quotients a_1, ..., a_k of alpha/beta = [a_1; a_2, ..., a_k]."""
+    out = []
+    while beta:
+        q, rem = divmod(alpha, beta)
+        out.append(q)
+        alpha, beta = beta, rem
+    return out
+
+
+def reference_even_entries(alpha: int, beta: int) -> tuple[int, ...]:
+    """Entries of the even Conway form of S(alpha, beta), beta even: at each
+    step the even one of floor and ceiling of the residual target."""
+    entries = []
+    num, den = alpha, beta
+    while True:
+        q, rem = divmod(num, den)
+        if rem == 0:
+            if q % 2 != 0:
+                raise InternalError(f"all-even expansion of S({alpha},{beta}) ended on odd term")
+            entries.append(q)
+            break
+        a = q if q % 2 == 0 else q + 1
+        entries.append(a)
+        num, den = den, num - a * den
+        if den < 0:
+            num, den = -num, -den
+    if len(entries) % 2 != 0:
+        raise InternalError(f"all-even expansion of S({alpha},{beta}) has odd length")
+    return tuple(entries)
+
+
+def reference_weight_sides(alpha: int, beta: int, longitude: int) -> tuple[int, int]:
+    """(sum_{N<0} W, sum_{N>0} W) of S(alpha, beta), beta even, reading the
+    two roots of slopes._roots one after the other: narrow packed lanes by
+    masks mod 2^w - 1, anything else lane by lane."""
+    lows, w, roots = _roots(alpha, reference_quotients(alpha, beta))
+    negative = total = at_longitude = 0
+    if 0 < w <= 64:
+        ones = (1 << w) - 1
+        for low, root in zip(lows, roots):
+            part = root % ones
+            total += part
+            cut = longitude - low
+            if cut * w > root.bit_length():
+                negative += part
+            elif cut >= 0:
+                cut *= w
+                negative += (root & ((1 << cut) - 1)) % ones
+                at_longitude += (root >> cut) & ones
+    else:
+        for low, root in zip(lows, roots):
+            cut = longitude - low
+            for t, v in _entries(root, w):
+                total += v
+                if t < cut:
+                    negative += v
+                elif t == cut:
+                    at_longitude += v
+    _check_weights(alpha, beta, total, at_longitude)
+    return negative, total - negative - at_longitude
+
+
+def reference_class_values(alpha: int, key: int, crossings: int) -> tuple:
+    """The values of obstruction._values for the knot class S(alpha, key),
+    key its class key: the preferred form with the inverse from pow, then
+    the even walk, the diagonal and the band loop, and the two-root read."""
+    if key % 2 == 0:
+        beta, mirrored = key, False
+    else:
+        beta, mirrored = alpha - key, True
+        inverse = alpha - pow(key, -1, alpha)
+        if inverse % 2 == 0 and inverse < beta:
+            beta = inverse
+    unit, odd, second, sigma, _, longitude, vanishing = _band(
+        _seifert_diagonal(reference_even_entries(alpha, beta))
+    )
+    delta_second = _delta_second(unit, odd, second)
+    sigma = _signature(sigma, vanishing)
+    negative, positive = reference_weight_sides(alpha, beta, longitude)
+    twice = negative - positive
+    return (alpha, beta, mirrored, KNOT_NAMES.get((alpha, key)), crossings, delta_second, sigma,
+            twice, classify(delta_second, sigma, twice))

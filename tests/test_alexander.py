@@ -30,8 +30,10 @@ from dense_oracles import (
     dense_signature,
     full_recurrence_alexander,
     int_det,
+    reference_even_entries,
     symmetric_signature,
 )
+from twobridge.alexander import _band, _even_diagonal, _seifert_diagonal
 
 DELTA_927 = LaurentPolynomial({-3: -1, -2: 5, -1: -11, 0: 15, 1: -11, 2: 5, 3: -1})
 DELTA_41 = LaurentPolynomial({-1: -1, 0: 3, 1: -1})
@@ -268,6 +270,22 @@ class TestConwayEvenForm:
                     continue
                 c = conway_even_form(SchubertForm(alpha, beta))
                 assert cf_eval(ContinuedFraction((0,) + c.entries)) == Fraction(beta, alpha)
+
+
+class TestEvenDiagonal:
+    def test_band_on_every_even_form(self):
+        # the even walk emits the Seifert diagonal of the even Conway
+        # form; on it the band loop meets Jacobi's rule with strictly
+        # growing |D_k| (every |2 a_k| >= 2): the signature is the
+        # longitude's sign sum, no minor vanishes, and |det| = alpha
+        for alpha in range(3, 400, 2):
+            for beta in range(2, alpha, 2):
+                if math.gcd(alpha, beta) != 1:
+                    continue
+                diagonal = _even_diagonal(alpha, beta)
+                assert diagonal == _seifert_diagonal(reference_even_entries(alpha, beta))
+                _, _, _, sigma, det, longitude, vanishing = _band(diagonal)
+                assert (sigma, abs(det), vanishing) == (longitude, alpha, 0), (alpha, beta)
 
 
 class TestSecondDerivative:

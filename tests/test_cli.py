@@ -249,6 +249,10 @@ class TestGoldenDigests:
              "8f29f962325b4c87b3c12e2d3f72b0b92d5a0e33f1be0f7667a33c473b3cfc46"),
             (["obstruct", "--census", "9", "--json", "--filter", "sigma=0"],
              "7ba97bfbd0bf4f68d9db18cd95f76bbd0f466fdb0be8e655023df0109a6e2f00"),
+            # recorded before the tail walk gave each census knot its
+            # quotients and inverse
+            (["obstruct", "--census", "18", "--jsonl"],
+             "7c72d870754a16f246d7a411d85ac97a8f84c31b4e0dbdd35874aab1623aec4f"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
@@ -581,3 +585,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "obstruct", broken)
         assert run(["obstruct", "9_27"]) == 3
         assert capsys.readouterr().err == "internal error: simulated bug\n"
+
+    def test_exception_without_a_message_names_its_type(self, capsys, monkeypatch):
+        import twobridge.cli as cli
+
+        def exhausted(_knot):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "obstruct", exhausted)
+        assert run(["obstruct", "9_27"]) == 3
+        assert capsys.readouterr().err == "internal error: MemoryError\n"

@@ -26,8 +26,8 @@ from twobridge import (
     signature,
     slope_weights,
 )
-from twobridge.obstruction import _class_representatives, class_key
-from dense_oracles import scan_census_classes
+from twobridge.obstruction import _class_representatives, _class_values, class_key
+from dense_oracles import reference_class_values, reference_quotients, scan_census_classes
 
 # Schubert forms of the thirteen knots with vanishing signature among
 # two-bridge knots of at most nine crossings.
@@ -202,7 +202,8 @@ class TestCensus:
         # (alpha, beta) up to Fib(N+1)
         scanned = scan_census_classes(13)
         for n in range(3, 14):
-            classes = list(_class_representatives(n))
+            classes = [(alpha, key, crossings)
+                       for alpha, key, crossings, _, _ in _class_representatives(n)]
             got = {
                 (alpha, class_key(alpha, key), crossing_number(SchubertForm(alpha, key)))
                 for alpha, key, _ in classes
@@ -215,7 +216,7 @@ class TestCensus:
 
     def test_census_matches_the_public_layers(self):
         # the census kernel (integer tail walk, one band loop, one pass
-        # over the Euclid quotients read as two sums) against reports
+        # over the quotients the walk gives, read as two sums) against reports
         # composed from the public layers, over the classes of the scan
         expected = []
         for alpha, key, _ in scan_census_classes(13):
@@ -248,15 +249,28 @@ class TestCensus:
         assert len(expected) == 1 + 1 + 2 + 3 + 7 + 12 + 24 + 45 + 91 + 176 + 352
         assert census(13) == expected
 
-    def test_shared_memo_matches_a_fresh_memo_per_knot(self):
+    def test_census_matches_obstruct_on_each_knot(self):
         # the census kernel on the class keys of the tail walk against
         # obstruct on each knot alone; nothing is shared between knots
         for n in range(3, 14):
             fresh = sorted(
-                (obstruct(SchubertForm(alpha, key)) for alpha, key, _ in _class_representatives(n)),
+                (obstruct(SchubertForm(alpha, key))
+                 for alpha, key, _, _, _ in _class_representatives(n)),
                 key=lambda r: (r.knot.alpha, r.knot.beta),
             )
             assert census(n) == fresh, n
+
+    def test_census_kernel_matches_the_reference_kernel(self):
+        # each knot's quotients and inverse from the tail walk against
+        # Euclid's algorithm, pow, the three loops and the two-root read
+        count = 0
+        for alpha, key, crossings, tail, q_prev in _class_representatives(16):
+            assert tail == reference_quotients(alpha, key)
+            assert key * q_prev % alpha == (1 if len(tail) % 2 else alpha - 1)
+            assert (_class_values(alpha, key, crossings, tail, q_prev)
+                    == reference_class_values(alpha, key, crossings)), (alpha, key)
+            count += 1
+        assert count == len(census(16))
 
     def test_census_validation(self):
         with pytest.raises(DomainError):

@@ -32,7 +32,7 @@ from twobridge import (
     slope_weights,
     weight,
 )
-from twobridge.alexander import _band, _even_entries, _seifert_diagonal
+from twobridge.alexander import _band, _even_diagonal
 from twobridge.cli import parse_knot_spec
 from twobridge.obstruction import _class_representatives
 from twobridge.rational import preferred_form
@@ -306,7 +306,16 @@ def _even_forms(limit: int) -> list[tuple[int, int]]:
 
 
 def _longitude(alpha: int, beta: int) -> int:
-    return _band(_seifert_diagonal(_even_entries(alpha, beta)))[5]
+    return _band(_even_diagonal(alpha, beta))[5]
+
+
+def _lane_width(alpha: int, beta: int) -> int:
+    """The lane width w of slopes._roots for S(alpha, beta); 0 on the sparse route."""
+    return slopes._roots(alpha, slopes._quotients(alpha, beta))[1]
+
+
+def _sides(alpha: int, beta: int, longitude: int) -> tuple[int, int]:
+    return slopes._weight_sides(alpha, beta, slopes._quotients(alpha, beta), longitude)
 
 
 def _big_entry_form(rng: random.Random, genus: int, low: int, high: int) -> tuple[int, int]:
@@ -325,7 +334,7 @@ class TestWeightRoutes:
         for (alpha, beta, longitude), (weights, sides) in zip(forms, expected):
             got = slopes._slope_weights(SchubertForm(alpha, beta), longitude).weights
             assert got == weights, (alpha, beta)
-            assert slopes._weight_sides(alpha, beta, longitude) == sides, (alpha, beta)
+            assert _sides(alpha, beta, longitude) == sides, (alpha, beta)
 
     def test_packed_sparse_and_reference_agree_exhaustively(self, monkeypatch):
         forms = [(alpha, beta, _longitude(alpha, beta)) for alpha, beta in _even_forms(400)]
@@ -334,10 +343,10 @@ class TestWeightRoutes:
         for alpha, beta, longitude in forms:
             weights = reference_slope_weights(alpha, beta, longitude, memo)
             expected.append((weights, weight_sides(weights)))
-        assert all(slopes._roots(alpha, beta)[1] for alpha, beta, _ in forms)  # all packed
+        assert all(_lane_width(alpha, beta) for alpha, beta, _ in forms)  # all packed
         self._check(forms, expected)
         monkeypatch.setattr(slopes, "PACKED_BITS", 0)
-        assert not any(slopes._roots(alpha, beta)[1] for alpha, beta, _ in forms)
+        assert not any(_lane_width(alpha, beta) for alpha, beta, _ in forms)
         self._check(forms, expected)
 
     def test_sparse_matches_the_reference_on_big_entries(self, monkeypatch):
@@ -361,11 +370,11 @@ class TestWeightRoutes:
     def test_census_and_deck_sizes_are_packed(self):
         # every census knot, and 36-crossing knots of small terms, fit the
         # packed route's bit budget
-        for alpha, key, _ in _class_representatives(14):
+        for alpha, key, _, _, _ in _class_representatives(14):
             canonical, _ = preferred_form(SchubertForm(alpha, key))
-            assert slopes._roots(canonical.alpha, canonical.beta)[1]
+            assert _lane_width(canonical.alpha, canonical.beta)
         for s in (SchubertForm(9227465, 3524578), kx_family(10)):
-            assert slopes._roots(s.alpha, s.beta)[1]
+            assert _lane_width(s.alpha, s.beta)
 
     def test_big_terms_take_the_sparse_route(self):
         # S(10^4000 + 1, 2) = [a_1; 2] with a_1 = 5 * 10^3999: a_1 is only a
@@ -374,18 +383,37 @@ class TestWeightRoutes:
         a1 = (alpha - 1) // 2
         assert slope_weights(SchubertForm(alpha, 2)).weights == ((-2 * a1, 2), (0, a1 - 1), (4, a1))
         # packed in lanes of 13,296 bits, read one by one
-        assert slopes._roots(alpha, 2)[1] == 13296
-        assert slopes._weight_sides(alpha, 2, _longitude(alpha, 2)) == (2, a1)
+        assert _lane_width(alpha, 2) == 13296
+        assert _sides(alpha, 2, _longitude(alpha, 2)) == (2, a1)
         for a1 in range(2, 60, 2):  # the same closed form from the reference walk
             alpha = 2 * a1 + 1
             weights = reference_slope_weights(alpha, 2, _longitude(alpha, 2))
             assert weights == ((-2 * a1, 2), (0, a1 - 1), (4, a1))
         # a term of 100 digits past the first takes the sparse route
         alpha, beta = 2 * 10**100 + 1, 10**100
-        assert not slopes._roots(alpha, beta)[1]
-        assert slopes._weight_sides(alpha, beta, _longitude(alpha, beta)) == weight_sides(
+        assert not _lane_width(alpha, beta)
+        assert _sides(alpha, beta, _longitude(alpha, beta)) == weight_sides(
             slope_weights(SchubertForm(alpha, beta)).weights
         )
+
+    def test_narrow_lanes_are_read_merged_or_lane_by_lane(self):
+        # S(alpha, 2) = [a_1; 2] in lanes of at most 64 bits: the roots'
+        # lows are a_1 - 1 lanes apart, a merge at 2,001 and lane by lane
+        # at 2^40 + 1, where the shift would pass PACKED_BITS
+        for alpha in (2001, 2**40 + 1):
+            a1 = (alpha - 1) // 2
+            assert 0 < _lane_width(alpha, 2) <= 64
+            assert _sides(alpha, 2, _longitude(alpha, 2)) == (2, a1)
+
+    def test_longitude_outside_the_roots_is_an_internal_error(self):
+        # below the merged root's lowest lane or above its highest, the
+        # longitude has no weight; no shift by a negative count
+        alpha, beta = 49, 18
+        lows, w, _ = slopes._roots(alpha, slopes._quotients(alpha, beta))
+        assert 0 < w <= 64
+        for longitude in (min(lows) - 1, -10**6, _longitude(alpha, beta) + 10**6):
+            with pytest.raises(InternalError, match="no weight at the longitude"):
+                _sides(alpha, beta, longitude)
 
     def test_sparse_work_limit(self, monkeypatch):
         # the sparse route refuses before a level that would pass
