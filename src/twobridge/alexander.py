@@ -22,13 +22,12 @@ LaurentPolynomial, ConwayForm or SeifertMatrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from operator import mul
 
 from .errors import DomainError, InternalError, NormalizationError, SingularError
-from .rational import ConwayForm, SchubertForm, _as_int
+from .rational import ConwayForm, Record, SchubertForm, _as_int
 
 
 class LaurentPolynomial:
@@ -150,8 +149,7 @@ def _poly_str(items) -> str:
     return text[1:] if text[:1] == "+" else text or "0"
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Seifert matrix of the chain of twisted bands of an even Conway form.
 
     The matrix has even size 2g and a nonzero integer diagonal; its

@@ -30,27 +30,18 @@ cost depends on the genus and not on p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .alexander import (
-    SeifertMatrix,
-    _band,
-    _seifert_diagonal,
-    alexander_poly,
-    conway_even_form,
-    seifert_from_conway,
-)
+from .alexander import SeifertMatrix, _band, _even_diagonal, alexander_poly
 from .errors import DomainError, MeridianError
-from .rational import SchubertForm, _ascii_int, preferred_form
+from .rational import Record, SchubertForm, _ascii_int, preferred_form
 from .slopes import SlopeSystem, SlopeWeights, _slope_weights
 
 # Either carries .weights, the (slope, total weight) pairs; nothing else is read.
 SlopeData = SlopeSystem | SlopeWeights
 
 
-@dataclass(frozen=True)
-class SurgerySlope:
+class SurgerySlope(Record):
     """A surgery slope p/q; q = 0 is allowed only for the meridian 1/0."""
 
     p: int
@@ -82,8 +73,7 @@ class SurgerySlope:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class LambdaValue:
+class LambdaValue(Record):
     """A Casson invariant value, the total seminorm it was computed from,
     and the status of the formula's hypotheses."""
 
@@ -234,8 +224,8 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
     # every boundary slope; negating the surgery slope compensates, so the
     # value always describes the input knot.
     r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
-    conway = conway_even_form(canonical)
-    weights = _slope_weights(canonical, _band(_seifert_diagonal(conway.entries))[5])
+    diagonal = _even_diagonal(canonical.alpha, canonical.beta)
+    weights = _slope_weights(canonical, _band(diagonal)[5])
     seminorm = total_seminorm(weights, r_eff)
     if r.p % 2 == 0:
         value = seminorm / 2
@@ -249,7 +239,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
         caveats.append("longitudinal slope p = 0: the root-of-unity condition degenerates")
     else:
         p_prime = abs(r.p) if r.p % 2 else abs(r.p) // 2
-        if not root_of_unity_check(seifert_from_conway(conway), p_prime):
+        if not root_of_unity_check(SeifertMatrix(tuple(diagonal)), p_prime):
             ok = False
             caveats.append(
                 f"a {p_prime}-th root of unity is a root of the Alexander polynomial"
@@ -259,7 +249,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
         if any(slope == r_eff.p for slope, _ in weights.weights):
             ok = False
             caveats.append(f"{r} is a boundary slope of this knot")
-    return LambdaValue(value=value, seminorm=seminorm, hypotheses_ok=ok, caveats=tuple(caveats))
+    return LambdaValue(value, seminorm, ok, tuple(caveats))
 
 
 def lambda_difference(sys: SlopeData, p: int, q: int) -> Fraction:

@@ -19,12 +19,11 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .alexander import _band, _delta_second, _even_diagonal, _signature
 from .errors import DomainError
-from .rational import SchubertForm, crossing_number, preferred_form
+from .rational import Record, SchubertForm, crossing_number, preferred_form
 from .slopes import _quotients, _weight_sides
 
 
@@ -35,8 +34,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Everything the obstruction pipeline knows about one knot."""
 
     knot: SchubertForm
@@ -50,8 +48,7 @@ class ObstructionReport:
     caveats: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NiWuPair:
+class NiWuPair(Record):
     """Candidate slope pair p/q1, -p/q1 passing the homological constraints
     q1^2 = -1 (mod p) that any purely cosmetic pair must satisfy."""
 
@@ -124,17 +121,8 @@ def _values(alpha: int, beta: int, quotients: list[int], mirrored: bool, name: s
 def _report(values: tuple) -> ObstructionReport:
     """The ObstructionReport holding the values of _values."""
     alpha, beta, mirrored, name, crossings, delta_second, sigma, twice, verdict = values
-    return ObstructionReport(
-        knot=SchubertForm(alpha, beta),
-        mirrored=mirrored,
-        name=name,
-        crossing_number=crossings,
-        delta_second=delta_second,
-        sigma=sigma,
-        casson_difference=Fraction(twice, 2),
-        verdict=verdict,
-        caveats=CAVEATS.get(verdict, ()),
-    )
+    return ObstructionReport(SchubertForm(alpha, beta), mirrored, name, crossings, delta_second,
+                             sigma, Fraction(twice, 2), verdict, CAVEATS.get(verdict, ()))
 
 
 def niwu_candidate_slopes(p: int, q_max: int) -> list[NiWuPair]:

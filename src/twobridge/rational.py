@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, EvaluationError
 
@@ -38,8 +38,57 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class _RecordType(type):
+    """Metaclass of Record: a class's own annotations, if any, name its fields and slots."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        if fields:
+            namespace["__match_args__"] = fields
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Base of the value types: immutable, built by position or keyword and
+    checked by __post_init__, and compared (within one class), hashed,
+    repr'd, copied and pickled field by field, as a frozen dataclass is."""
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+            if kwargs or len(args) != len(names):
+                raise TypeError(f"{type(self).__qualname__} takes its fields {names} once each")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(map(getattr, repeat(self), self.__match_args__))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ContinuedFraction(Record):
     """A continued fraction [c, b1, ..., bn] with integer part c.
 
     The value is c + 1/(b1 + 1/(b2 + ... + 1/bn)); an empty tail means
@@ -77,8 +126,7 @@ class ContinuedFraction:
         return "[" + ",".join(str(t) for t in self.terms) + "]"
 
 
-@dataclass(frozen=True)
-class SchubertForm:
+class SchubertForm(Record):
     """Schubert normal form S(alpha, beta) of a two-bridge knot.
 
     alpha must be odd (even alpha gives a two-component link) and coprime
@@ -107,8 +155,7 @@ class SchubertForm:
         return f"S({self.alpha},{self.beta})"
 
 
-@dataclass(frozen=True)
-class ConwayForm:
+class ConwayForm(Record):
     """Even Conway form C[e1, ..., e2g]: 2g nonzero even twist entries."""
 
     entries: tuple[int, ...]

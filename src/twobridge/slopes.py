@@ -25,15 +25,13 @@ expansion, which is the longitude (slope 0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .alexander import _band, _even_diagonal
 from .errors import DomainError, InternalError
-from .rational import ContinuedFraction, SchubertForm, cf_eval, simple_cf
+from .rational import ContinuedFraction, Record, SchubertForm, cf_eval, simple_cf
 
 
-@dataclass(frozen=True)
-class BoundarySlopeRecord:
+class BoundarySlopeRecord(Record):
     """One boundary-slope continued fraction with its derived data."""
 
     cf: ContinuedFraction
@@ -43,8 +41,7 @@ class BoundarySlopeRecord:
     weight: int
 
 
-@dataclass(frozen=True)
-class SlopeSystem:
+class SlopeSystem(Record):
     """The complete boundary-slope data of one two-bridge knot."""
 
     knot: SchubertForm
@@ -64,8 +61,7 @@ class SlopeSystem:
         return tuple(sorted(totals.items()))
 
 
-@dataclass(frozen=True)
-class SlopeWeights:
+class SlopeWeights(Record):
     """The {boundary slope: total weight} distribution of one two-bridge knot."""
 
     knot: SchubertForm
@@ -223,19 +219,15 @@ def enumerate_bscf(s: SchubertForm) -> SlopeSystem:
     longitude_index = even_indices[0]
     terms, n0_plus, _, _ = listed[longitude_index]
     base = 2 * n0_plus - len(terms)  # n0+ - n0- - 1
+    # (cf, n+, n-, slope as in slope_of, weight), by position
     records = tuple(
-        BoundarySlopeRecord(
-            cf=ContinuedFraction(terms),
-            n_plus=n_plus,
-            n_minus=len(terms) - 1 - n_plus,
-            slope=2 * (2 * n_plus - len(terms) - base),  # as in slope_of
-            weight=w,
-        )
+        BoundarySlopeRecord(ContinuedFraction(terms), n_plus, len(terms) - 1 - n_plus,
+                            2 * (2 * n_plus - len(terms) - base), w)
         for terms, n_plus, w, _ in listed
     )
     if records[longitude_index].slope != 0:
         raise InternalError(f"longitude of {s} has nonzero slope")
-    return SlopeSystem(knot=s, records=records, longitude_index=longitude_index)
+    return SlopeSystem(s, records, longitude_index)
 
 
 def slope_weights(s: SchubertForm) -> SlopeWeights:
@@ -425,7 +417,7 @@ def _slope_weights(s: SchubertForm, longitude: int) -> SlopeWeights:
             slope = 2 * (low + t - longitude)
             totals[slope] = totals.get(slope, 0) + v
     _check_weights(s.alpha, s.beta, sum(totals.values()), totals.get(0, 0))
-    return SlopeWeights(knot=s, weights=tuple(sorted(totals.items())))
+    return SlopeWeights(s, tuple(sorted(totals.items())))
 
 
 def _weight_sides(alpha: int, beta: int, a: list[int], longitude: int) -> tuple[int, int]:
