@@ -9,12 +9,13 @@ value 1 at t = 1.
 
 That matrix is tridiagonal and its units never change, so it is stored
 as its diagonal alone and no matrix is ever built.  One band loop
-(_band) runs once over that diagonal and carries three-term recurrences
-for the leading minors of M - t M^T (kept mod z^3, which gives
-Delta''(1)) and of M + M^T (the signature and the knot determinant),
-plus the sign sum of the diagonal, which is the longitude's sign sum in
-the boundary-slope data.  The coefficients of the Alexander polynomial
-(_coefficients) come from one evaluation of the first recurrence at a
+(_band) carries the minors of M - t M^T mod z^3, which give Delta''(1),
+and the sign sum of the diagonal: the longitude's n+ - n- and, by
+proof, the signature (see signature).  On a knot's diagonal
+|det(M + M^T)| is alpha, so only alexander_poly and knot_determinant,
+given a bare matrix or Conway form, run the minors of M + M^T
+(_determinant).  The coefficients of the Alexander polynomial
+(_coefficients) come from one evaluation of that recurrence at a
 packed integer, within MAX_ALEXANDER_WORK; alexander_poly and the CLI
 both read them there, the CLI with the values of one _band pass and no
 LaurentPolynomial, ConwayForm or SeifertMatrix.
@@ -179,34 +180,34 @@ class SeifertMatrix(Record):
         return self.size // 2
 
 
-def _band(diagonal) -> tuple[int, int, int, int, int, int, int]:
+def _band(diagonal) -> tuple[int, int, int, int]:
     """One pass over a Seifert diagonal a_1, ..., a_n, returning
-    (F(0), [z]F, [z^2]F, sigma, det, longitude, vanishing):
+    (F(0), [z]F, [z^2]F, longitude):
 
       * F = F_n mod z^3, from F_k = -a_k z F_(k-1) + F_(k-2) with
         F_(-1) = 0, F_0 = 1 (see alexander_second_derivative);
-      * the leading minors D_k = 2 a_k D_(k-1) - D_(k-2) of M + M^T, the
-        symmetric tridiagonal matrix with diagonal 2 a_k and unit
-        off-diagonal: sigma is the sum of sign(D_(k-1) D_k) (Jacobi's
-        rule), det is D_n, and vanishing is the first k with D_k = 0, or
-        0 when none vanishes (sigma means nothing then);
       * longitude, the sum of sign(a_k).  As a_k = (-1)^(k+1) e_k / 2 for
         the even Conway entries e_k, a_k > 0 exactly when e_k matches the
         pattern +,-,+,-,...: this is the sign sum n+ - n- of the all-even
-        expansion, the longitude of the boundary-slope data.
+        expansion, the longitude of the boundary-slope data.  It is also
+        the signature (see signature).
     """
     c0, c1, c2, p0, p1, p2 = 1, 0, 0, 0, 0, 0  # F_k and F_(k-1), constant first
-    minor, before = 1, 0  # D_k and D_(k-1)
-    sigma = longitude = vanishing = 0
-    for k, a in enumerate(diagonal, start=1):
+    longitude = 0
+    for a in diagonal:
         c0, c1, c2, p0, p1, p2 = p0, p1 - a * c0, p2 - a * c1, c0, c1, c2
-        positive = minor > 0
-        minor, before = 2 * a * minor - before, minor
-        if not minor and not vanishing:
-            vanishing = k
-        sigma += 1 if (minor > 0) == positive else -1
         longitude += 1 if a > 0 else -1
-    return c0, c1, c2, sigma, minor, longitude, vanishing
+    return c0, c1, c2, longitude
+
+
+def _determinant(diagonal) -> int:
+    """det(M + M^T) for the Seifert matrix with this diagonal: the last
+    leading minor of the tridiagonal matrix with diagonal 2 a_k and unit
+    off-diagonal, by the continuant D_k = 2 a_k D_(k-1) - D_(k-2)."""
+    minor, before = 1, 0
+    for a in diagonal:
+        minor, before = 2 * a * minor - before, minor
+    return minor
 
 
 def _delta_second(unit: int, odd: int, second: int) -> int:
@@ -217,13 +218,6 @@ def _delta_second(unit: int, odd: int, second: int) -> int:
     if odd:
         raise NormalizationError("no unit multiple of t^-g makes the determinant symmetric")
     return 2 * unit * second
-
-
-def _signature(sigma: int, vanishing: int) -> int:
-    """The signature as _band gives it; SingularError on a vanishing minor."""
-    if vanishing:
-        raise SingularError(f"leading minor {vanishing} of M + M^T vanishes")
-    return sigma
 
 
 def _seifert_diagonal(entries: tuple[int, ...]) -> list[int]:
@@ -241,7 +235,7 @@ def seifert_from_conway(c: ConwayForm) -> SeifertMatrix:
 def alexander_poly(M: SeifertMatrix) -> LaurentPolynomial:
     """Normalized Alexander polynomial det(M - t M^T) * (unit * t^-g),
     from the coefficients of _coefficients."""
-    coeffs = _coefficients(M.diagonal, _band(M.diagonal)[4])
+    coeffs = _coefficients(M.diagonal, _determinant(M.diagonal))
     return LaurentPolynomial({k: c for k, c in enumerate(coeffs, -M.genus)})
 
 
@@ -270,13 +264,13 @@ def _coefficients(diagonal, det: int) -> list[int]:
     intermediate minors.  The coefficients of D_2g are read back from
     w-bit lanes, which hold them because a two-bridge knot is alternating
     and so is its Alexander polynomial (Crowell, Murasugi): the sum of
-    their absolute values is |Delta(-1)| = |det(M + M^T)|, the last
-    leading minor of M + M^T (from _band), and w leaves room for that and
-    a sign bit.  DomainError before the loop past MAX_ALEXANDER_WORK.
-    The unit sign is fixed by requiring value 1 at t = 1; anything else
-    signals an invalid Seifert matrix and raises NormalizationError.  A
-    coefficient sum that is not the determinant means the lanes did not
-    hold the polynomial: InternalError.
+    their absolute values is |Delta(-1)| = |det(M + M^T)|, which is alpha
+    on a knot's diagonal and _determinant on a bare matrix, and w leaves
+    room for that and a sign bit.  DomainError before the loop past
+    MAX_ALEXANDER_WORK.  The unit sign is fixed by requiring value 1 at
+    t = 1; anything else signals an invalid Seifert matrix and raises
+    NormalizationError.  A coefficient sum that is not the determinant
+    means the lanes did not hold the polynomial: InternalError.
     """
     lane = (abs(det).bit_length() + 8) // 8  # bytes per coefficient, sign bit included
     w = 8 * lane
@@ -427,20 +421,22 @@ def genus3_closed_form(A: int, B: int, C: int, D: int, E: int, F: int) -> Lauren
 
 
 def signature(M: SeifertMatrix) -> int:
-    """Knot signature: the signature of M + M^T, by Jacobi's rule.
+    """Knot signature: the signature of M + M^T, the sign sum of M.diagonal.
 
-    M + M^T is tridiagonal with diagonal 2 * M.diagonal and unit
-    off-diagonal, so the signature is the sum of sign(D_(k-1) * D_k)
-    over the leading minors that _band runs.  Every diagonal entry of
-    M + M^T is at least 2 in absolute value, so |D_k| grows strictly, no
-    minor vanishes, and the result is an even integer.  A vanishing minor
-    means an invalid matrix: SingularError.
+    M + M^T is tridiagonal with diagonal 2 a_k and unit off-diagonal, so
+    its leading minors follow D_k = 2 a_k D_(k-1) - D_(k-2), D_0 = 1,
+    D_(-1) = 0.  Every |2 a_k| >= 2, so by induction |D_k| > |D_(k-1)|:
+    no minor vanishes, and sign D_k = sign a_k * sign D_(k-1).  Jacobi's
+    rule, the sum of sign(D_(k-1) D_k), is then the sum of sign(a_k),
+    an even integer for the even size 2g.  A zero entry, which only a
+    matrix built past validation can hold, raises SingularError.
     """
-    _, _, _, sigma, _, _, vanishing = _band(M.diagonal)
-    return _signature(sigma, vanishing)
+    if 0 in M.diagonal:
+        raise SingularError("a diagonal entry of the Seifert matrix is zero")
+    return sum(1 if a > 0 else -1 for a in M.diagonal)
 
 
 def knot_determinant(c: ConwayForm) -> int:
-    """|det(M + M^T)| for the Conway form's Seifert matrix: the last
-    leading minor of M + M^T, from _band."""
-    return abs(_band(_seifert_diagonal(c.entries))[4])
+    """|det(M + M^T)| for the Conway form's Seifert matrix, from
+    _determinant."""
+    return abs(_determinant(_seifert_diagonal(c.entries)))

@@ -225,7 +225,7 @@ def lambda_surgery(s: SchubertForm, r: SurgerySlope) -> LambdaValue:
     # value always describes the input knot.
     r_eff = SurgerySlope(-r.p, r.q) if mirrored else r
     diagonal = _even_diagonal(canonical.alpha, canonical.beta)
-    weights = _slope_weights(canonical, _band(diagonal)[5])
+    weights = _slope_weights(canonical, _band(diagonal)[3])
     seminorm = total_seminorm(weights, r_eff)
     if r.p % 2 == 0:
         value = seminorm / 2

@@ -29,7 +29,6 @@ from .alexander import (
     _delta_second,
     _even_diagonal,
     _poly_str,
-    _signature,
     conway_even_form,
 )
 from .casson import SurgerySlope, lambda_surgery
@@ -324,12 +323,12 @@ def _cmd_alexander(args) -> int:
     s = _resolve_knot(args)
     canonical, mirrored = preferred_form(s)
     # one band pass and one packed evaluation, the routes of alexander_poly,
-    # signature and alexander_second_derivative
+    # signature and alexander_second_derivative; on a knot's diagonal
+    # det(M + M^T) is alpha and the signature is the longitude's sign sum
     diagonal = _even_diagonal(canonical.alpha, canonical.beta)
-    unit, odd, second, sigma, det, _, vanishing = _band(diagonal)
-    coeffs = _coefficients(diagonal, det)
+    unit, odd, second, sigma = _band(diagonal)
+    coeffs = _coefficients(diagonal, canonical.alpha)
     delta_second = _delta_second(unit, odd, second)
-    sigma = _signature(sigma, vanishing)
     terms = [(k, c) for k, c in enumerate(coeffs, -(len(diagonal) // 2)) if c]
     payload = _knot_payload(canonical, mirrored)
     with _printable(payload, coeffs, delta_second):

@@ -30,5 +30,5 @@ class NormalizationError(TwoBridgeError):
 
 
 class SingularError(TwoBridgeError):
-    """A leading minor of the symmetrized Seifert matrix vanishes, so its
-    signature cannot be read off the minors (cannot happen for knots)."""
+    """A Seifert matrix diagonal entry is zero, so the signature is not the
+    sign sum of the diagonal (only a matrix built past validation)."""

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .alexander import _band, _delta_second, _even_diagonal, _signature
+from .alexander import _band, _delta_second, _even_diagonal
 from .errors import DomainError
 from .rational import Record, SchubertForm, crossing_number, preferred_form
 from .slopes import _quotients, _weight_sides
@@ -104,18 +104,17 @@ def _values(alpha: int, beta: int, quotients: list[int], mirrored: bool, name: s
 
     where twice_difference = 2 * casson_difference is an integer and the
     caveats are CAVEATS.get(verdict, ()).  One band loop over the Seifert
-    diagonal of the even walk gives Delta''(1), the signature and the
-    longitude's sign sum; one pass over the quotients gives the two
-    weight sums (see slopes._weight_sides).  Nothing is shared between
-    knots.
+    diagonal of the even walk gives Delta''(1) and the longitude's sign
+    sum, which is also the signature (see alexander.signature); one pass
+    over the quotients gives the two weight sums (see
+    slopes._weight_sides).  Nothing is shared between knots.
     """
-    unit, odd, second, sigma, _, longitude, vanishing = _band(_even_diagonal(alpha, beta))
+    unit, odd, second, longitude = _band(_even_diagonal(alpha, beta))
     delta_second = _delta_second(unit, odd, second)
-    sigma = _signature(sigma, vanishing)
     negative, positive = _weight_sides(alpha, beta, quotients, longitude)
     twice = negative - positive
-    return (alpha, beta, mirrored, name, crossings, delta_second, sigma, twice,
-            classify(delta_second, sigma, twice))
+    return (alpha, beta, mirrored, name, crossings, delta_second, longitude, twice,
+            classify(delta_second, longitude, twice))
 
 
 def _report(values: tuple) -> ObstructionReport:
@@ -203,8 +202,10 @@ def _class_representatives(max_crossings: int) -> Iterator[tuple[int, int, int, 
     exactly when alpha is odd and beta is its class key.  The previous
     convergent's denominator q' satisfies beta q' = (-1)^(k-1) mod alpha,
     so the four presentations are beta, alpha - beta, q' and alpha - q',
-    and beta (below alpha/2) is the class key when it is at most q' and
-    alpha - q'.
+    and beta (below alpha/2) is the class key when it is at most q'.
+    That is enough: alpha = ak q' + q'' with ak >= 2 and q'' >= 0 the
+    denominator before q', so q' <= alpha/2 <= alpha - q', and beta <= q'
+    gives beta <= alpha - q' too.
 
     The walk is in preorder over one path list, the tail, with the
     numerators and denominators of its convergents alongside: a tail
@@ -218,7 +219,7 @@ def _class_representatives(max_crossings: int) -> Iterator[tuple[int, int, int, 
     total = 2
     while True:
         p, q, q_prev = ps[-1], qs[-1], qs[-2]
-        if q % 2 == 1 and tail[-1] >= 2 and p <= q_prev and p <= q - q_prev:
+        if q % 2 == 1 and tail[-1] >= 2 and p <= q_prev:
             yield q, p, total, tail, q_prev
         if total < max_crossings:
             tail.append(1)

@@ -239,7 +239,7 @@ def slope_weights(s: SchubertForm) -> SlopeWeights:
     """
     if s.beta % 2 != 0:
         raise DomainError(f"slope_weights needs the canonical even-beta form, got {s}")
-    longitude = _band(_even_diagonal(s.alpha, s.beta))[5]
+    longitude = _band(_even_diagonal(s.alpha, s.beta))[3]
     return _slope_weights(s, longitude)
 
 

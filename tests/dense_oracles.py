@@ -23,8 +23,17 @@ listing carried them: a duplicate set, a sort, an exact evaluation of
 each expansion and a count of its signs and weight.  The census kernel
 is kept as it was before the tail walk handed each knot its quotients
 and inverse: pow for the inverse, Euclid's algorithm for the quotients,
-the even Conway walk, the Seifert diagonal and the band loop as three
-loops, and the two packed roots read one after the other.
+the even Conway walk and the Seifert diagonal as two loops, and the two
+packed roots read one after the other.  Its signature is Jacobi's count
+over the leading minors of M + M^T (jacobi_minors), which the package
+replaced by the sign sum of the diagonal, and its Delta''(1) is read off
+the whole polynomial of the full minor recurrence.
+
+The Alexander references share no code with the module they check:
+
+    grep -nE "^ *(from|import) twobridge.alexander" tests/dense_oracles.py
+
+prints nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +56,6 @@ from twobridge import (
     simple_cf,
     weight,
 )
-from twobridge.alexander import _band, _delta_second, _seifert_diagonal, _signature
 from twobridge.casson import _cyclotomic, _divides
 from twobridge.obstruction import KNOT_NAMES, class_key, classify
 from twobridge.slopes import _check_weights, _entries, _roots, _sort_key, _step
@@ -272,6 +280,25 @@ def polynomial_root_of_unity_check(delta: LaurentPolynomial, p_prime: int) -> bo
         if totient <= degree and _divides(_cyclotomic(d, primes), f):
             return False
     return True
+
+
+def jacobi_minors(diagonal) -> list[int]:
+    """The leading minors 1, D_1, ..., D_n of M + M^T for the Seifert
+    matrix with this diagonal: D_k = 2 a_k D_(k-1) - D_(k-2), D_(-1) = 0."""
+    minors, before = [1], 0
+    for a in diagonal:
+        minors.append(2 * a * minors[-1] - before)
+        before = minors[-2]
+    return minors
+
+
+def jacobi_signature(diagonal) -> int:
+    """Signature of M + M^T by Jacobi's rule, the sum of sign(D_(k-1) D_k)
+    over jacobi_minors; SingularError on a vanishing minor."""
+    minors = jacobi_minors(diagonal)
+    if 0 in minors:
+        raise SingularError("a leading minor of M + M^T vanishes")
+    return sum(1 if x * y > 0 else -1 for x, y in zip(minors, minors[1:]))
 
 
 def dense_signature(entries) -> int:
@@ -529,7 +556,8 @@ def reference_weight_sides(alpha: int, beta: int, longitude: int) -> tuple[int, 
 def reference_class_values(alpha: int, key: int, crossings: int) -> tuple:
     """The values of obstruction._values for the knot class S(alpha, key),
     key its class key: the preferred form with the inverse from pow, then
-    the even walk, the diagonal and the band loop, and the two-root read."""
+    the even walk and the diagonal, Jacobi's signature, Delta''(1) of the
+    full recurrence's polynomial, and the two-root read."""
     if key % 2 == 0:
         beta, mirrored = key, False
     else:
@@ -537,11 +565,10 @@ def reference_class_values(alpha: int, key: int, crossings: int) -> tuple:
         inverse = alpha - pow(key, -1, alpha)
         if inverse % 2 == 0 and inverse < beta:
             beta = inverse
-    unit, odd, second, sigma, _, longitude, vanishing = _band(
-        _seifert_diagonal(reference_even_entries(alpha, beta))
-    )
-    delta_second = _delta_second(unit, odd, second)
-    sigma = _signature(sigma, vanishing)
+    diagonal = [(-1) ** i * e // 2 for i, e in enumerate(reference_even_entries(alpha, beta))]
+    delta_second = sum(c * k * (k - 1) for k, c in full_recurrence_alexander(diagonal).items())
+    sigma = jacobi_signature(diagonal)
+    longitude = sum(1 if a > 0 else -1 for a in diagonal)
     negative, positive = reference_weight_sides(alpha, beta, longitude)
     twice = negative - positive
     return (alpha, beta, mirrored, KNOT_NAMES.get((alpha, key)), crossings, delta_second, sigma,

@@ -30,6 +30,8 @@ from dense_oracles import (
     dense_signature,
     full_recurrence_alexander,
     int_det,
+    jacobi_minors,
+    jacobi_signature,
     reference_even_entries,
     symmetric_signature,
 )
@@ -204,8 +206,7 @@ class TestAlexanderPoly:
         # to it in absolute value
         import twobridge.alexander as alexander
 
-        # (F mod z^3, sigma, det, longitude, vanishing) with det = 1
-        monkeypatch.setattr(alexander, "_band", lambda diagonal: (1, 0, 0, 0, 1, 0, 0))
+        monkeypatch.setattr(alexander, "_determinant", lambda diagonal: 1)
         for diagonal in [(1, 1, -1, 1, 1, -1), (1, 16384)]:
             with pytest.raises(InternalError):
                 alexander_poly(SeifertMatrix(diagonal))
@@ -275,17 +276,19 @@ class TestConwayEvenForm:
 class TestEvenDiagonal:
     def test_band_on_every_even_form(self):
         # the even walk emits the Seifert diagonal of the even Conway
-        # form; on it the band loop meets Jacobi's rule with strictly
-        # growing |D_k| (every |2 a_k| >= 2): the signature is the
-        # longitude's sign sum, no minor vanishes, and |det| = alpha
+        # form; on it the leading minors of M + M^T grow strictly in
+        # |D_k| (every |2 a_k| >= 2), so none vanishes, |D_n| = alpha, and
+        # Jacobi's signature is the longitude's sign sum that _band returns
         for alpha in range(3, 400, 2):
             for beta in range(2, alpha, 2):
                 if math.gcd(alpha, beta) != 1:
                     continue
                 diagonal = _even_diagonal(alpha, beta)
                 assert diagonal == _seifert_diagonal(reference_even_entries(alpha, beta))
-                _, _, _, sigma, det, longitude, vanishing = _band(diagonal)
-                assert (sigma, abs(det), vanishing) == (longitude, alpha, 0), (alpha, beta)
+                minors = jacobi_minors(diagonal)
+                assert all(abs(x) < abs(y) for x, y in zip(minors, minors[1:])), (alpha, beta)
+                assert abs(minors[-1]) == alpha, (alpha, beta)
+                assert jacobi_signature(diagonal) == _band(diagonal)[3], (alpha, beta)
 
 
 class TestSecondDerivative:

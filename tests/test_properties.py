@@ -1,8 +1,10 @@
 """Randomized checks against the slow routes, and of presentation invariance.
 
 Conway forms are drawn at random (genus up to 6, entries up to 40 in
-absolute value) for the Alexander layer; simple continued fraction
-tails of 10 to 30 crossings for the boundary slopes, the obstruction
+absolute value) for the Alexander layer, and with entries up to 2^71
+and genus up to 15 for the signature and determinant, whose proofs hold
+on every valid Seifert matrix and not only on a knot's; simple continued
+fraction tails of 10 to 30 crossings for the boundary slopes, the obstruction
 report and the crossing number; nested JSON values for the CLI's
 writer.  The examples are derandomized so every run sees the same ones.
 """
@@ -29,7 +31,7 @@ from twobridge import (
     slope_weights,
 )
 from twobridge.cli import _json_text
-from dense_oracles import dense_alexander, dense_seifert, dense_signature
+from dense_oracles import dense_alexander, dense_seifert, dense_signature, int_det
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,6 +39,13 @@ st = hypothesis.strategies
 _entry = st.sampled_from([e for e in range(-40, 41, 2) if e])
 conway_forms = st.integers(1, 6).flatmap(
     lambda g: st.lists(_entry, min_size=2 * g, max_size=2 * g)
+).map(lambda entries: ConwayForm(tuple(entries)))
+
+# any nonzero Seifert diagonal entry up to 2^70 in absolute value, as the
+# even Conway entry of twice its size
+_wide_entry = st.integers(1, 1 << 70).flatmap(lambda a: st.sampled_from((2 * a, -2 * a)))
+wide_conway_forms = st.integers(1, 15).flatmap(
+    lambda g: st.lists(_wide_entry, min_size=2 * g, max_size=2 * g)
 ).map(lambda entries: ConwayForm(tuple(entries)))
 
 
@@ -61,6 +70,19 @@ def test_band_recurrence_matches_dense_matrix(c):
     assert delta == dense_alexander(dense)
     assert signature(m) == dense_signature(dense)
     assert abs(delta.evaluate(-1)) == knot_determinant(c)
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(wide_conway_forms)
+def test_signature_and_determinant_on_wide_matrices(c):
+    # the sign sum and the continuant against the dense routes, on
+    # matrices far from any knot's: the proof in signature's docstring
+    # needs only nonzero integer entries
+    dense = dense_seifert(c)
+    n = len(dense)
+    assert signature(seifert_from_conway(c)) == dense_signature(dense)
+    symmetric = [[dense[i][j] + dense[j][i] for j in range(n)] for i in range(n)]
+    assert knot_determinant(c) == abs(int_det(symmetric))
 
 
 @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)

@@ -292,7 +292,7 @@ class TestSlopeWeights:
                 s = SchubertForm(alpha, beta)
                 longitude = enumerate_bscf(s).longitude
                 diagonal = seifert_from_conway(conway_even_form(s)).diagonal
-                assert _band(diagonal)[5] == longitude.n_plus - longitude.n_minus, s
+                assert _band(diagonal)[3] == longitude.n_plus - longitude.n_minus, s
 
 
 
@@ -306,7 +306,7 @@ def _even_forms(limit: int) -> list[tuple[int, int]]:
 
 
 def _longitude(alpha: int, beta: int) -> int:
-    return _band(_even_diagonal(alpha, beta))[5]
+    return _band(_even_diagonal(alpha, beta))[3]
 
 
 def _lane_width(alpha: int, beta: int) -> int:
